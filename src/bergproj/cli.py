@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the experiment and estimate entry
 points; JSON reports go to ``--out`` (or stdout summaries), CSV plot
 data to ``--csv``.  Exit codes: 0 when the run's checks pass, 2 when a
-verification fails, 3 when quadrature refused to converge.
+verification fails or an input is invalid, 3 when quadrature refused to
+converge, 4 when any other package error (a ``BergprojError``, such as
+an overflowing integrand) ended the run.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import AmbiguousFit, NonIntegrable, QuadratureNotConverged
+from .errors import AmbiguousFit, BergprojError, NonIntegrable, QuadratureNotConverged
 from .estimates import (
     bb_norm_bound,
     bekolle_bonami_estimate,
@@ -28,7 +30,7 @@ from .experiments import (
 )
 from .quadrature import WeightSpec
 
-PASS, FAIL, NOT_CONVERGED = 0, 2, 3
+PASS, FAIL, NOT_CONVERGED, PACKAGE_ERROR = 0, 2, 3, 4
 
 
 def _float_list(text):
@@ -252,3 +254,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
+    except BergprojError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return PACKAGE_ERROR

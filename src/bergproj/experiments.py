@@ -21,15 +21,27 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import symbolic
-from .errors import QuadratureNotConverged
-from .kernels import KernelSpec, apply_operator, test_function_hs, tilde_shape
+from .errors import OverflowInIntegrand, QuadratureNotConverged
+from .kernels import (
+    KernelSpec,
+    apply_operator,
+    family_factors,
+    shape_from_factors,
+    symmetric_top,
+    test_function_hs,
+    tilde_shape,
+)
 from .symmetrization import Permutation
 from .quadrature import (
+    BLOCK_CHUNK,
+    PairTable,
     WeightSpec,
+    _check_finite,
+    chunk_slices,
     disc_rule,
     refine,
     singular_disc_rule,
-    weighted_lp_norm,
+    symmetric_blocks,
 )
 
 SCHEMA_VERSION = "1"
@@ -177,20 +189,6 @@ def _log_log_slope(s_grid, values):
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _norm_power_with_delta(f, p, n, s, orders, factors):
-    """p-th power of the weighted norm, with its refinement delta."""
-    base = singular_disc_rule(s, *orders)
-    fine = refine(base, *factors)
-    coarse = weighted_lp_norm(f, p, JACOBIAN_SQUARED, base, n, symmetric=True) ** p
-    value = weighted_lp_norm(f, p, JACOBIAN_SQUARED, fine, n, symmetric=True) ** p
-    delta = abs(value - coarse) / abs(value)
-    if delta > MAX_NORM_DELTA:
-        raise QuadratureNotConverged(
-            f"norm at s={s} moved by {delta:.1%} under rule refinement"
-        )
-    return value, delta
-
-
 def _calibrate_image_constant(n, orders):
     """Fit the constant relating the operator image of the test family to
     its closed shape, by honest quadrature at a moderate parameter.
@@ -221,40 +219,120 @@ def _calibrate_image_constant(n, orders):
     return constant, residual
 
 
-def _ratio_cells(n, p, s_grid, orders, factors, constant):
-    cells = []
+def _norm_sums(n, s, rule, p_list, constant):
+    """Weighted L^p sums of h_s and of its image at every p, in one pass.
+
+    These are the sums whose p-th roots :func:`weighted_lp_norm` returns,
+    against the squared-Vandermonde weight over the symmetric blocks of
+    ``rule``, here evaluated from per-node factor tables and one pair table
+    with the same products and the same summation tree.  Blocks are
+    evaluated ``BLOCK_CHUNK`` tuples at a time, which keeps their
+    temporaries small, and each sum runs once over its whole block.
+    Returns ``{"h": [...], "image": [...]}`` with one entry per p: the sum,
+    or the :class:`OverflowInIntegrand` its integrand raised.
+    """
+    g, r, c = family_factors(n, s, rule.nodes)
+    pairs = PairTable(rule.nodes, JACOBIAN_SQUARED.evaluate)
+    out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
+    for prefix, j, k, tensor_weight in symmetric_blocks(rule.weights, n):
+        own, rows = pairs.block_views(prefix)
+        weight = np.empty(len(j)) if prefix else own
+        values = {"h": np.empty(len(j)), "image": np.empty(len(j))}
+        parts = chunk_slices(len(j), BLOCK_CHUNK)
+        for part in parts:
+            jp, kp = j[part], k[part]
+            if prefix:
+                # pair factors in the order WeightSpec.evaluate multiplies them
+                factors = []
+                for a, row in enumerate(rows):
+                    factors += [row[later] for later in prefix[a + 1 :]]
+                    factors += [row[jp], row[kp]]
+                weight[part] = math.prod(factors) * own[part]
+            h = symmetric_top([g[i] for i in prefix], g[jp], g[kp])
+            values["h"][part] = np.abs(h)
+            r_cols = [r[i] for i in prefix] + [r[jp], r[kp]]
+            c_cols = [c[i] for i in prefix] + [c[jp], c[kp]]
+            image = constant * shape_from_factors(s, r_cols, c_cols)
+            values["image"][part] = np.abs(image)
+        summands = np.empty(len(j))
+        for kind, absolute in values.items():
+            for index, p in enumerate(p_list):
+                if isinstance(out[kind][index], Exception):
+                    continue
+                try:
+                    for part in parts:
+                        integrand = absolute[part] ** p * weight[part]
+                        where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                        _check_finite(integrand, where)
+                        np.multiply(tensor_weight[part], integrand, out=summands[part])
+                except OverflowInIntegrand as exc:
+                    out[kind][index] = exc
+                    continue
+                out[kind][index] += np.sum(summands)
+    return out
+
+
+def _norm_power(total, p):
+    """The p-th power of the norm from its sum, as weighted_lp_norm rounds it."""
+    if isinstance(total, Exception):
+        raise total
+    return (float(total) ** (1.0 / p)) ** p
+
+
+def _ratio_cell(s, sums, index, p):
+    """The ratio cell at s for the p at ``index`` of the fused sums of the
+    coarse and the refined rule; raises if either norm has not converged."""
+    powers, deltas = {}, {}
+    for kind in ("h", "image"):
+        coarse, value = (_norm_power(rule[kind][index], p) for rule in sums)
+        delta = abs(value - coarse) / abs(value)
+        if delta > MAX_NORM_DELTA:
+            raise QuadratureNotConverged(
+                f"norm at s={s} moved by {delta:.1%} under rule refinement"
+            )
+        powers[kind], deltas[kind] = value, delta
+    return {
+        "s": float(s),
+        "h_norm_power": powers["h"],
+        "h_delta": deltas["h"],
+        "image_norm_power": powers["image"],
+        "image_delta": deltas["image"],
+        "ratio": powers["image"] / powers["h"],
+        "neg_log_one_minus_s": -math.log1p(-s),
+    }
+
+
+def _ratio_cells(n, p_list, s_grid, orders, factors, constant):
+    """Ratio cells for every p: one list of cells per p, in order.
+
+    Each rule is built and summed once for all p and both functions;
+    errors are raised in the order of separate runs: p, then s, then the
+    family before its image.  The first p is checked as soon as each s is
+    summed, since none of its errors can follow another, so a run that
+    fails there stops before summing the deeper s.
+    """
+    sums, first = {}, []
     for s in s_grid:
-
-        def family(pts, s=s):
-            return test_function_hs(n, s, pts)
-
-        def image(pts, s=s):
-            return constant * tilde_shape(n, s, pts)
-
-        h_power, h_delta = _norm_power_with_delta(family, p, n, s, orders, factors)
-        image_power, image_delta = _norm_power_with_delta(
-            image, p, n, s, orders, factors
-        )
-        cells.append(
-            {
-                "s": float(s),
-                "h_norm_power": h_power,
-                "h_delta": h_delta,
-                "image_norm_power": image_power,
-                "image_delta": image_delta,
-                "ratio": image_power / h_power,
-                "neg_log_one_minus_s": -math.log1p(-s),
-            }
-        )
-    return cells
+        base = singular_disc_rule(s, *orders)
+        fine = refine(base, *factors)
+        sums[s] = [_norm_sums(n, s, rule, p_list, constant) for rule in (base, fine)]
+        first.append(_ratio_cell(s, sums[s], 0, p_list[0]))
+    out = [first]
+    for index, p in enumerate(p_list[1:], start=1):
+        out.append([_ratio_cell(s, sums[s], index, p) for s in s_grid])
+    return out
 
 
 def _check_ratio_inputs(n, s_grid):
     if n not in (2, 3):
         raise ValueError("ratio experiments run at n = 2 or n = 3")
     s_grid = tuple(float(s) for s in s_grid)
-    if not s_grid or any(not 0.0 < s < 1.0 for s in s_grid):
+    if any(not 0.0 < s < 1.0 for s in s_grid):
         raise ValueError("the s grid must lie strictly inside (0, 1)")
+    if len(s_grid) < 2:
+        # a line through one point fits it exactly with any slope, and
+        # least squares then reports a positive one
+        raise ValueError("the s grid needs at least two points for the ratio fit")
     if list(s_grid) != sorted(set(s_grid)):
         raise ValueError("the s grid must be strictly increasing")
     return s_grid
@@ -287,7 +365,7 @@ def blowup_experiment(n, p, s_grid=None, rule=None, seed=0) -> ExperimentReport:
     factors = REFINE_FACTORS[n]
 
     constant, residual = _calibrate_image_constant(n, orders)
-    cells = _ratio_cells(n, p, s_grid, orders, factors, constant)
+    (cells,) = _ratio_cells(n, [p], s_grid, orders, factors, constant)
 
     ratios = [c["ratio"] for c in cells]
     fit = _fit_line([c["neg_log_one_minus_s"] for c in cells], ratios)
@@ -341,8 +419,8 @@ def boundedness_scan(n, p_list, s_grid=None, rule=None, seed=0) -> ExperimentRep
 
     rows = []
     all_consistent = True
-    for p in p_list:
-        cells = _ratio_cells(n, p, s_grid, orders, factors, constant)
+    per_p = _ratio_cells(n, p_list, s_grid, orders, factors, constant)
+    for p, cells in zip(p_list, per_p):
         ratios = [c["ratio"] for c in cells]
         spread = max(ratios) / min(ratios)
         verdict = "flat" if spread < FLAT_RATIO_BOUND else "growing"

@@ -177,22 +177,47 @@ def bergman_symmetrized(p, q, tol=1e-12):
     return complex(total / denom)
 
 
+def symmetric_top(prefix, y, z):
+    """(n-1)! e_{n-1}(x_1, ..., x_{n-2}, y, z): the sum over all orderings of
+    the n variables of the product of the first n - 1.
+
+    ``prefix`` holds x_1, ..., x_{n-2} (scalars or arrays).  Adding a
+    variable x to a set of m maps its top two elementary symmetric values
+    (e_{m-1}, e_m) to (e_m + x e_{m-1}, x e_m); the set starts as the last
+    two variables, with e_1 = y + z and e_2 = y z.
+    """
+    low = y + z
+    if not prefix:
+        return low
+    top = y * z
+    for x in prefix[:0:-1]:
+        low, top = top + x * low, x * top
+    return math.factorial(len(prefix) + 1) * (top + prefix[0] * low)
+
+
+def family_factors(n, s, w):
+    """Per-coordinate factors of the blow-up family and of its image shape:
+    (g, r, c) = ((1 - w s)^(-n), 1 / (1 - w s), (1 - w s)^(n-1)).
+
+    Every factor depends on one coordinate, so over a tensor rule they are
+    tables of one value per node.
+    """
+    a = 1.0 - np.asarray(w) * s
+    return a ** (-float(n)), 1.0 / a, a ** (n - 1)
+
+
 def test_function_hs(n, s, pts):
     """The symmetric blow-up family: sum over permutations tau of
-    prod_{j=1}^{n-1} (1 - w_{tau(j)} s)^(-n).
+    prod_{j=1}^{n-1} (1 - w_{tau(j)} s)^(-n), that is (n-1)! e_{n-1}(g).
 
     Each summand omits one coordinate; the function is symmetric and its
     p-th power norms against the squared-Vandermonde weight blow up as
     s -> 1 at the rate the experiments measure.
     """
     pts, single = _as_rows(pts, n)
-    total = np.zeros(len(pts), dtype=complex)
-    for tau in permutations(range(n)):
-        term = np.ones(len(pts), dtype=complex)
-        for j in tau[: n - 1]:
-            term = term * (1.0 - pts[:, j] * s) ** (-float(n))
-        total += term
-    return total[0] if single else total
+    g = family_factors(n, s, pts)[0]
+    out = symmetric_top([g[:, l] for l in range(n - 2)], g[:, n - 2], g[:, n - 1])
+    return out[0] if single else out
 
 
 def tildeT2_closed_form(s, z):
@@ -207,6 +232,16 @@ def tildeT2_closed_form(s, z):
     return a + b
 
 
+def shape_from_factors(s, r, c):
+    """:func:`tilde_shape` from the factors r and c of :func:`family_factors`,
+    one entry per coordinate: s^(n(n-1)) (n-1)! e_{n-1}(r) / prod c."""
+    n = len(r)
+    denom = c[-2] * c[-1]
+    for x in c[:-2]:
+        denom = x * denom
+    return s ** (n * (n - 1)) * symmetric_top(r[:-2], r[-2], r[-1]) / denom
+
+
 def tilde_shape(n, s, pts):
     """Unit-constant model for the conjugate-Vandermonde operator output.
 
@@ -215,17 +250,8 @@ def tilde_shape(n, s, pts):
     ``tildeT2_closed_form``; for n = 3 the experiments fit the constant.
     """
     pts, single = _as_rows(pts, n)
-    m = len(pts)
-    common = np.ones(m, dtype=complex)
-    for l in range(n):
-        common *= (1.0 - pts[:, l] * s) ** (n - 1)
-    total = np.zeros(m, dtype=complex)
-    for tau in permutations(range(n)):
-        term = np.ones(m, dtype=complex)
-        for idx in tau[: n - 1]:
-            term = term * (1.0 - pts[:, idx] * s)
-        total += 1.0 / term
-    out = s ** (n * (n - 1)) * total / common
+    _, r, c = family_factors(n, s, pts)
+    out = shape_from_factors(s, list(r.T), list(c.T))
     return out[0] if single else out
 
 

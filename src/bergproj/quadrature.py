@@ -14,14 +14,20 @@ Two rule families:
   of the distance to the singularity.
 
 Polydisc integrals are tensor products of a single disc rule, evaluated
-in chunks; for symmetric integrands in three variables the sum is reduced
-to sorted index triples with multiplicities.
+in chunks.  For integrands symmetric under coordinate permutations the sum
+runs over sorted index n-tuples only, each with its multiset multiplicity
+n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
+prefix of the first n - 2 indices, covering the upper triangle of the last
+two.  A ``PairTable`` holds a function of two nodes for every pair of a
+rule, built once and read block by block without gathering.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -268,13 +274,108 @@ def _check_finite(values, where):
         raise OverflowInIntegrand(f"non-finite integrand value near node #{bad} ({where})")
 
 
+#: tuples per part when a symmetric block or a pair table is evaluated
+#: piecewise; it must stay at or above 2^15 so that the parts of a cut
+#: n = 2 block round as the whole block does (see :func:`chunk_slices`)
+BLOCK_CHUNK = 1 << 16
+
+
+def _triangle_start(size, row):
+    """Offset of ``row`` in the packed upper triangle ``np.triu_indices(size)``."""
+    return row * size - row * (row - 1) // 2
+
+
+def chunk_slices(length, chunk):
+    """Slices covering range(length) in near-equal parts of at most ``chunk``.
+
+    A block that is cut has no part shorter than half a chunk.  With chunks
+    of 2^15 points or more every part of a cut block then holds at least
+    256 KiB of complex values, as the whole block does, so numpy treats
+    each part as it treats the whole block and the parts get the same
+    floating-point results: numpy reuses temporaries of that size as
+    outputs, which swaps the operands of a complex product with a scalar
+    and can change its last bit.
+    """
+    count = max(1, -(-length // chunk))
+    step = max(1, -(-length // count))
+    return [slice(lo, lo + step) for lo in range(0, length, step)]
+
+
+def symmetric_blocks(weights, n):
+    """Sorted index n-tuples of a rule with these weights, block by block.
+
+    Yields ``(prefix, j, k, weight)`` for each sorted prefix of the first
+    n - 2 indices, in lexicographic order: the last two indices ``j <= k``
+    run over the upper triangle at or above the prefix's last index, and
+    ``weight`` is each tuple's multiset multiplicity n!/prod(c!) times its
+    tensor weight, multiplied as ``mult * (prod(prefix weights) * w_j *
+    w_k)``.  With unit weights the multiplicities over all blocks sum to
+    size**n.
+    """
+    if n < 2:
+        raise ValueError("symmetric blocks need n >= 2")
+    weights = np.asarray(weights)
+    size = len(weights)
+    j_all, k_all = np.triu_indices(size)
+    fact = [math.factorial(c) for c in range(n + 1)]
+    for prefix in combinations_with_replacement(range(size), n - 2):
+        low = prefix[-1] if prefix else 0
+        start = _triangle_start(size, low)
+        j, k = j_all[start:], k_all[start:]
+        counts = Counter(prefix)
+        at_low = counts.pop(low, 0)
+        others = math.prod(fact[c] for c in counts.values())
+        # below the first row j > low, so only a doubled last pair adds a
+        # count; the first row (j = low) holds one more copy of low, and its
+        # first tuple (low, low) two more
+        mult = fact[n] / (others * fact[at_low] * np.where(j == k, 2.0, 1.0))
+        mult[: size - low] = fact[n] / (others * fact[at_low + 1])
+        mult[0] = fact[n] / (others * fact[at_low + 2])
+        prefix_weight = math.prod(weights[i] for i in prefix)
+        for part in chunk_slices(len(j), BLOCK_CHUNK):
+            mult[part] *= prefix_weight * weights[j[part]] * weights[k[part]]
+        yield prefix, j, k, mult
+
+
+class PairTable:
+    """A real function of two nodes, tabulated once per rule at every node
+    pair j <= k and read for each block of :func:`symmetric_blocks`.
+
+    ``f`` maps an (m, 2) complex array of node pairs to an (m,) array.
+    """
+
+    def __init__(self, nodes, f):
+        nodes = np.asarray(nodes)
+        self.size = len(nodes)
+        j, k = np.triu_indices(self.size)
+        self.values = np.empty(len(j))
+        for part in chunk_slices(len(j), BLOCK_CHUNK):
+            self.values[part] = f(np.stack([nodes[j[part]], nodes[k[part]]], axis=1))
+
+    def block_views(self, prefix):
+        """Views of the table for the symmetric block of ``prefix``.
+
+        Returns ``(own, rows)``: ``own`` holds the block's pairs (j, k),
+        aligned with its ``j`` and ``k``; ``rows`` holds, for each prefix
+        index i, the table's pairs (i, column) indexed by the column, valid
+        at columns >= i (every later prefix index, and every j and k).
+        """
+        rows = [self.values[_triangle_start(self.size, i) - i :] for i in prefix]
+        low = prefix[-1] if prefix else 0
+        return self.values[_triangle_start(self.size, low) :], rows
+
+
 def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
     """Tensor-product integral of f over the polydisc D^n.
 
     ``f`` maps an (m, n) complex array of points to an (m,) array.  With
     ``symmetric=True`` (the integrand must be invariant under coordinate
     permutations) the tensor sum is restricted to sorted index tuples with
-    multiset multiplicities, an exact reduction by up to n! in work.
+    multiset multiplicities, an exact reduction by up to n! in work.  ``f``
+    sees at most ``chunk`` points of a block of :func:`symmetric_blocks` at
+    a time, but the block's values and weights are held whole and summed
+    once, so memory grows with the largest block: the size^2/2 pairs of
+    the whole rule at n = 2, the pairs at or above one index at n = 3.
     """
     nodes = np.asarray(rule.nodes)
     weights = np.asarray(rule.weights)
@@ -283,10 +384,18 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
         vals = np.asarray(f(nodes[:, None]))
         _check_finite(vals, "n=1")
         return complex(np.sum(weights * vals))
-    if symmetric and n == 2:
-        return _integrate_symmetric_2(f, nodes, weights)
-    if symmetric and n == 3:
-        return _integrate_symmetric_3(f, nodes, weights, chunk)
+    if symmetric:
+        acc = 0.0 + 0.0j
+        for prefix, j, k, weight in symmetric_blocks(weights, n):
+            parts = []
+            for part in chunk_slices(len(j), chunk):
+                columns = [np.full(len(j[part]), nodes[i]) for i in prefix]
+                pts = np.stack(columns + [nodes[j[part]], nodes[k[part]]], axis=1)
+                parts.append(np.asarray(f(pts)))
+            vals = np.concatenate(parts)
+            _check_finite(vals, f"symmetric n={n}, prefix={prefix}")
+            acc += np.sum(weight * vals)
+        return complex(acc)
     total = size**n
     shape = (size,) * n
     acc = 0.0 + 0.0j
@@ -300,42 +409,6 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
         vals = np.asarray(f(pts))
         _check_finite(vals, f"chunk at {start}")
         acc += np.sum(w * vals)
-    return complex(acc)
-
-
-def _integrate_symmetric_2(f, nodes, weights):
-    size = len(nodes)
-    j_idx, k_idx = np.triu_indices(size)
-    pts = np.stack([nodes[j_idx], nodes[k_idx]], axis=1)
-    w = weights[j_idx] * weights[k_idx]
-    mult = np.where(j_idx == k_idx, 1.0, 2.0)
-    vals = np.asarray(f(pts))
-    _check_finite(vals, "symmetric n=2")
-    return complex(np.sum(mult * w * vals))
-
-
-def _integrate_symmetric_3(f, nodes, weights, chunk):
-    size = len(nodes)
-    acc = 0.0 + 0.0j
-    for i in range(size):
-        sub = size - i
-        j_rel, k_rel = np.triu_indices(sub)
-        j_idx, k_idx = j_rel + i, k_rel + i
-        for start in range(0, len(j_idx), chunk):
-            j_c = j_idx[start : start + chunk]
-            k_c = k_idx[start : start + chunk]
-            pts = np.stack(
-                [np.full(len(j_c), nodes[i]), nodes[j_c], nodes[k_c]], axis=1
-            )
-            w = weights[i] * weights[j_c] * weights[k_c]
-            mult = np.where(
-                (i == j_c) & (j_c == k_c),
-                1.0,
-                np.where((i == j_c) | (j_c == k_c), 3.0, 6.0),
-            )
-            vals = np.asarray(f(pts))
-            _check_finite(vals, f"symmetric n=3, i={i}")
-            acc += np.sum(mult * w * vals)
     return complex(acc)
 
 

@@ -91,8 +91,6 @@ class GaussianRational:
 
 
 def _coeff_to_complex(c):
-    if isinstance(c, GaussianRational):
-        return complex(c)
     return complex(c)
 
 

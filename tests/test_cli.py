@@ -1,6 +1,6 @@
 """End-to-end tests of the command line interface: flags, file outputs,
-and the exit-code contract (0 pass, 2 failed verification, 3 quadrature
-not converged)."""
+and the exit-code contract (0 pass, 2 failed verification or invalid
+input, 3 quadrature not converged, 4 any other package error)."""
 
 import csv
 import json
@@ -8,8 +8,10 @@ import json
 import jsonschema
 import pytest
 
+import bergproj.cli as cli
 import bergproj.experiments as experiments
 from bergproj.cli import main
+from bergproj.errors import OverflowInIntegrand, PoleProximity
 from bergproj.experiments import REPORT_SCHEMA
 
 
@@ -77,6 +79,21 @@ class TestBlowupCommand:
         monkeypatch.setattr(experiments, "MAX_NORM_DELTA", 1e-15)
         code = main(["blowup", "--n", "2", "--p", "4", "--s", "0.7,0.9"])
         assert code == 3
+
+    def test_one_point_grid_exits_2(self, capsys):
+        code = main(["blowup", "--n", "2", "--p", "4", "--s", "0.99999999"])
+        assert code == 2
+        assert "at least two points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [OverflowInIntegrand, PoleProximity])
+    def test_other_package_errors_exit_4(self, monkeypatch, capsys, error):
+        def driver(*args, **kwargs):
+            raise error("raised by the driver")
+
+        monkeypatch.setattr(cli, "blowup_experiment", driver)
+        code = main(["blowup", "--n", "2", "--p", "4", "--s", "0.7,0.9"])
+        assert code == 4
+        assert f"{error.__name__}: raised by the driver" in capsys.readouterr().err
 
 
 class TestScanCommand:

@@ -137,6 +137,10 @@ class TestBlowupExperiment:
             blowup_experiment(2, 4.0, s_grid=(0.7, 0.7))
         with pytest.raises(ValueError):
             blowup_experiment(2, 4.0, s_grid=(0.7, 1.0))
+        # one point fits a line with any slope; least squares reports a
+        # positive one, so a one-point grid would pass on no evidence
+        with pytest.raises(ValueError):
+            blowup_experiment(2, 4.0, s_grid=(0.99999999,))
 
     def test_non_convergence_aborts(self, monkeypatch):
         import bergproj.experiments as experiments
@@ -172,6 +176,8 @@ class TestBoundednessScan:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             boundedness_scan(2, [])
+        with pytest.raises(ValueError):
+            boundedness_scan(2, [2.0], s_grid=(0.9,))
         with pytest.raises(ValueError):
             boundedness_scan(2, [0.9])
 
