@@ -19,7 +19,7 @@ from .estimates import (
     bb_norm_bound,
     bekolle_bonami_estimate,
     classify_forelli_rudin,
-    forelli_rudin,
+    forelli_rudin,  # noqa: F401  -- bergbench's layer trace wraps it here
 )
 from .experiments import (
     annihilation_check,
@@ -170,8 +170,8 @@ def _run_forelli_rudin(args):
         "residuals": outcome.residuals,
         "matches_theory": outcome.matches_theory,
         "values": [
-            {"r": r, "value": forelli_rudin(args.eps, args.s_exp, r)}
-            for r in (samples or ())
+            {"r": r, "value": value}
+            for r, value in zip(samples or (), outcome.values)
         ],
     }
     if args.out:
@@ -191,6 +191,10 @@ def _run_forelli_rudin(args):
 
 
 def _run_bekolle_bonami(args):
+    if args.weight == "up" and len(args.points) != 1:
+        raise ValueError(
+            f"the weight up takes one reference point, not {len(args.points)}"
+        )
     rows = []
     for p in args.p_list:
         weight = WeightSpec.point_product(args.points, 2.0 - p)

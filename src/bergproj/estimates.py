@@ -32,6 +32,7 @@ from .quadrature import (
     QuadratureRule,
     WeightSpec,
     disc_rule,
+    legendre_nodes,
     polar_rule_at,
 )
 
@@ -108,6 +109,7 @@ class GrowthClassification:
     fitted_exponent: float  # free log-log slope against (1 - |z|^2)
     residuals: dict  # relative L2 residual per candidate model
     matches_theory: bool  # label agrees with the sign of s_exp
+    values: tuple  # the growth integral at each sample radius, in order
 
 
 def classify_forelli_rudin(eps, s_exp, samples=None):
@@ -150,6 +152,7 @@ def classify_forelli_rudin(eps, s_exp, samples=None):
         fitted_exponent=slope,
         residuals=residuals,
         matches_theory=best == expected,
+        values=tuple(float(v) for v in a),
     )
 
 
@@ -205,7 +208,7 @@ def tent_rule(tent, order):
         return disc_rule(order, 2 * order)
     order = int(order) + int(order) % 2
     c, r = tent.boundary_center, tent.radius
-    gx, gwx = np.polynomial.legendre.leggauss(order)
+    gx, gwx = legendre_nodes(order)
     x = c.real + r * gx
     y = c.imag + r * gx
     w2d = np.outer(r * gwx, r * gwx)
@@ -261,10 +264,19 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
                 "tent average diverges beyond float range"
             )
         return float(np.sum(terms)) / float(np.sum(rule.weights))
+    return _box_averages(weight, (power,), tent, order)[0]
+
+
+def _box_averages(weight, powers, tent, order):
+    """Averages of weight^power over the tent for each power, from one
+    tent rule and one evaluation of the weight on its nodes."""
     rule = tent_rule(tent, order)
-    values = weight.evaluate(rule.nodes) ** power
+    values = weight.evaluate(rule.nodes)
     mass = float(np.sum(rule.weights))
-    return _rule_sum(values, rule.weights, "tent average") / mass
+    return [
+        _rule_sum(values**power, rule.weights, "tent average") / mass
+        for power in powers
+    ]
 
 
 def default_apex_grid(levels=8, angles=32):
@@ -320,8 +332,13 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     best = 0.0
     for apex in apex_grid:
         tent = TentRegion(complex(apex))
-        avg_u = tent_average(weight, 1.0, tent, rule)
-        avg_dual = tent_average(weight, dual_power, tent, rule)
+        if tent.is_whole_disc:
+            # the whole disc may take the graded polar rule, by the sign
+            # of each power's exponent
+            avg_u = tent_average(weight, 1.0, tent, rule)
+            avg_dual = tent_average(weight, dual_power, tent, rule)
+        else:
+            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule)
         best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 
@@ -396,14 +413,14 @@ def _sector_cubature(s, inner, half_aperture, k_exp, radial_order=12, angular_or
     integrand values |1-zs|^(-k) at its nodes."""
     count = max(1, math.ceil(2.0 * math.log10(1.0 / inner)))
     edges = np.geomspace(inner, 1.0, count + 1)
+    gx, gw = legendre_nodes(radial_order)
     rho, rho_w = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        gx, gw = np.polynomial.legendre.leggauss(radial_order)
         rho.append((a + b) / 2.0 + (b - a) / 2.0 * gx)
         rho_w.append((b - a) / 2.0 * gw)
     rho = np.concatenate(rho)
     rho_w = np.concatenate(rho_w)
-    gx, gw = np.polynomial.legendre.leggauss(angular_order)
+    gx, gw = legendre_nodes(angular_order)
     phi = half_aperture * gx
     phi_w = half_aperture * gw
     center = 1.0 / s

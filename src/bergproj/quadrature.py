@@ -20,6 +20,10 @@ n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
 prefix of the first n - 2 indices, covering the upper triangle of the last
 two.  A ``PairTable`` holds a function of two nodes for every pair of a
 rule, built once and read block by block without gathering.
+
+Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
+``legendre_nodes``, which computes them once per order on first use and
+hands out the same read-only arrays after that.
 """
 
 from __future__ import annotations
@@ -65,8 +69,28 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
 
+#: Gauss-Legendre nodes and weights on [-1, 1] by order, filled on first
+#: use; the arrays are read-only because every caller shares them
+_LEGENDRE = {}
+
+
+def legendre_nodes(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+
+    Returns the same two read-only arrays on every call with this order.
+    """
+    order = int(order)
+    cached = _LEGENDRE.get(order)
+    if cached is None:
+        cached = np.polynomial.legendre.leggauss(order)
+        for array in cached:
+            array.flags.writeable = False
+        _LEGENDRE[order] = cached
+    return cached
+
+
 def _gauss_legendre(order, lo, hi):
-    x, w = np.polynomial.legendre.leggauss(int(order))
+    x, w = legendre_nodes(order)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     return mid + half * x, half * w
 
@@ -205,30 +229,34 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     rho, rho_w = _radial_panels(d, radial_order, inner_cutoff)
 
     m = int(angular_order)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(m)
+    gl_x, gl_w = legendre_nodes(m)
+    if d < 1e-14:
+        gamma = np.where(rho < 1.0, math.inf, -math.inf)
+    else:
+        gamma = (1.0 - d * d - rho * rho) / (2.0 * rho * d)
+    # gamma falls as rho grows, so the full rings come first, then the
+    # arcs, then the rings that miss the disc (gamma <= -1), dropped here
+    full = gamma >= 1.0
+    arc = ~full & (gamma > -1.0)
+    # full rings: a uniform midpoint grid beats GL on circles
+    m_full = max(8, 2 * m)
+    full_phi = beta + TWO_PI * (np.arange(m_full) + 0.5) / m_full
+    full_pw = np.full(m_full, TWO_PI / m_full)
+    half = np.array([math.pi - math.acos(g) for g in gamma[arc]])
+    blocks = [
+        (rho[full], rho_w[full], full_phi[None, :], full_pw[None, :]),
+        (rho[arc], rho_w[arc], beta + math.pi + half[:, None] * gl_x, half[:, None] * gl_w),
+    ]
     nodes, weights, dists, log_weights = [], [], [], []
-    for rr, ww in zip(rho, rho_w):
-        if d < 1e-14:
-            gamma = math.inf if rr < 1.0 else -math.inf
-        else:
-            gamma = (1.0 - d * d - rr * rr) / (2.0 * rr * d)
-        if gamma >= 1.0:
-            # ring fully inside: uniform midpoint grid beats GL on circles
-            m_full = max(8, 2 * m)
-            phi = beta + TWO_PI * (np.arange(m_full) + 0.5) / m_full
-            pw = np.full(m_full, TWO_PI / m_full)
-        elif gamma <= -1.0:
-            continue
-        else:
-            half = math.pi - math.acos(gamma)
-            phi = beta + math.pi + half * gl_x
-            pw = half * gl_w
-        nodes.append(center + rr * np.exp(1j * phi))
-        weights.append(rr * ww * pw)
-        dists.append(np.full(len(phi), rr))
+    for rr, ww, phi, pw in blocks:
+        count = phi.shape[1]
+        nodes.append((center + rr[:, None] * np.exp(1j * phi)).ravel())
+        weights.append(((rr * ww)[:, None] * pw).ravel())
+        dists.append(np.repeat(rr, count))
         # weights of the deepest rings underflow when multiplied out;
         # keep their logarithms so graded integrands can be summed safely
-        log_weights.append(math.log(rr) + math.log(ww) + np.log(pw))
+        ring_log = np.array([math.log(r) + math.log(w) for r, w in zip(rr, ww)])
+        log_weights.append((ring_log[:, None] + np.log(pw)).ravel())
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
     return QuadratureRule(

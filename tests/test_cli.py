@@ -9,8 +9,10 @@ import jsonschema
 import pytest
 
 import bergproj.cli as cli
+import bergproj.estimates as estimates
 import bergproj.experiments as experiments
 from bergproj.cli import main
+from bergproj.estimates import classify_forelli_rudin, forelli_rudin
 from bergproj.errors import OverflowInIntegrand, PoleProximity
 from bergproj.experiments import REPORT_SCHEMA
 
@@ -144,6 +146,28 @@ class TestForelliRudinCommand:
         assert len(payload["values"]) == 4
         assert payload["values"][0]["value"] > 0
 
+    def test_values_are_the_classification_samples(self, tmp_path, monkeypatch):
+        grid = (0.9, 0.99, 0.999, 0.9999)
+        outcome = classify_forelli_rudin(0.0, 0.5, samples=grid)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return forelli_rudin(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "forelli_rudin", counting)
+        monkeypatch.setattr(cli, "forelli_rudin", counting)
+        out = tmp_path / "fr.json"
+        code = main(
+            ["forelli-rudin", "--eps", "0", "--s-exp", "0.5",
+             "--grid", ",".join(map(str, grid)), "--out", str(out)]
+        )
+        assert code == 0
+        values = read_json(out)["values"]
+        assert [row["r"] for row in values] == list(grid)
+        assert [row["value"] for row in values] == list(outcome.values)
+        assert len(calls) == len(grid)
+
 
 class TestBekolleBonamiCommand:
     def test_table_with_divergent_row(self, tmp_path, capsys):
@@ -160,6 +184,14 @@ class TestBekolleBonamiCommand:
         assert by_p[2.0]["estimate"] == 1.0
         assert by_p[2.0]["norm_bound"] == 1.0
         assert by_p[4.5]["divergent"] is True
+
+    def test_up_weight_takes_one_point(self, capsys):
+        code = main(
+            ["bekolle-bonami", "--weight", "up", "--p-list", "2",
+             "--points", "0.3,0.3+0.02j"]
+        )
+        assert code == 2
+        assert "one reference point" in capsys.readouterr().err
 
     def test_two_point_weight(self, capsys):
         code = main(

@@ -1,0 +1,200 @@
+"""The rule layer: the Gauss-Legendre cache, rule invariants, and the
+vectorised polar rule and tent loop against the code they replaced.
+
+Oracles (``oracles.py``):
+* the per-ring ``polar_rule_at``, which the block-wise rule must match
+  bit for bit in nodes, weights and both ``aux`` arrays;
+* the apex loop of ``bekolle_bonami_estimate`` with two ``tent_average``
+  calls per tent, which the one-rule-per-tent loop must match exactly.
+
+Invariants: finite nodes and positive weights for every rule family, a
+mass of pi for disc rules, polar nodes inside the disc.  Polar weights of
+the deepest rings underflow to zero by design (``aux["log_weight"]``
+keeps them), so they are checked positive wherever their logarithm is
+above -700 and equal to its exponential there.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bergproj.quadrature as quadrature
+from bergproj.errors import NonIntegrable
+from bergproj.estimates import (
+    TentRegion,
+    _sector_cubature,
+    bekolle_bonami_estimate,
+    tent_rule,
+)
+from bergproj.quadrature import WeightSpec, disc_rule, legendre_nodes, polar_rule_at
+import oracles
+
+ORDERS = st.integers(min_value=2, max_value=16)
+#: polar inner cutoffs, 1e-5 down to 1e-280, log-uniform
+CUTOFFS = st.floats(min_value=5.0, max_value=280.0).map(lambda e: 10.0**-e)
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def centers(draw):
+    """Polar rule centres at the origin, inside the disc or outside it."""
+    where = draw(st.sampled_from(["origin", "inside", "outside"]))
+    if where == "origin":
+        return 0j
+    if where == "inside":
+        modulus = draw(st.floats(min_value=1e-6, max_value=0.999))
+    else:
+        modulus = draw(st.floats(min_value=1.001, max_value=3.0))
+    return complex(modulus * np.exp(1j * draw(ANGLES)))
+
+
+def assert_finite_positive(rule):
+    assert rule.size > 0
+    assert np.all(np.isfinite(rule.nodes))
+    assert np.all(np.isfinite(rule.weights))
+    assert np.all(rule.weights > 0)
+
+
+class TestLegendreCache:
+    def test_arrays_are_read_only(self):
+        x, w = legendre_nodes(7)
+        for array in (x, w):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_repeated_call_returns_the_same_objects(self):
+        first = legendre_nodes(9)
+        again = legendre_nodes(9.0)
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_matches_numpy(self):
+        x, w = legendre_nodes(12)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+
+    def test_filled_on_first_use_through_the_module_attribute(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            calls.append(order)
+            return real(order)
+
+        monkeypatch.setattr(quadrature, "_LEGENDRE", {})
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        disc_rule(10, 10)
+        disc_rule(10, 20)
+        polar_rule_at(0.5, 10, 6)
+        assert sorted(calls) == [6, 10]
+
+    def test_empty_after_import(self):
+        code = "import bergproj.cli, bergproj.quadrature as q; print(len(q._LEGENDRE))"
+        src = str(Path(quadrature.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "0"
+
+
+class TestRuleInvariants:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"cluster": 3}, {"boost": (8, math.pi / 8)}, {"cluster": 2, "boost": (4, 0.5)}],
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(radial=ORDERS, angular=ORDERS)
+    def test_disc_rule(self, kwargs, radial, angular):
+        rule = disc_rule(radial, angular, **kwargs)
+        assert_finite_positive(rule)
+        assert abs(rule.total_weight() - math.pi) <= 1e-12
+        assert np.max(np.abs(rule.nodes)) < 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(center=centers(), radial=ORDERS, angular=ORDERS, cutoff=CUTOFFS)
+    def test_polar_rule(self, center, radial, angular, cutoff):
+        rule = polar_rule_at(center, radial, angular, cutoff)
+        assert np.all(np.isfinite(rule.nodes))
+        assert np.max(np.abs(rule.nodes)) < 1.0
+        log_weight = rule.aux["log_weight"]
+        assert np.all(np.isfinite(log_weight))
+        assert np.all(rule.weights >= 0)
+        normal = log_weight > -700.0
+        assert np.all(rule.weights[normal] > 0)
+        assert np.allclose(np.log(rule.weights[normal]), log_weight[normal], rtol=0, atol=1e-12)
+        assert np.all(rule.aux["center_distance"] > 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        modulus=st.floats(min_value=0.0, max_value=0.999),
+        angle=ANGLES,
+        order=st.integers(min_value=2, max_value=64),
+    )
+    def test_tent_rule(self, modulus, angle, order):
+        tent = TentRegion(complex(modulus * np.exp(1j * angle)))
+        rule = tent_rule(tent, order)
+        assert_finite_positive(rule)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        s=st.floats(min_value=0.9, max_value=0.9999),
+        inner=st.floats(min_value=1e-6, max_value=0.5),
+        half_aperture=st.floats(min_value=0.01, max_value=math.pi / 6),
+        k_exp=st.floats(min_value=2.0, max_value=6.0),
+    )
+    def test_sector_cubature(self, s, inner, half_aperture, k_exp):
+        nodes, weights, values = _sector_cubature(s, inner, half_aperture, k_exp)
+        assert np.all(np.isfinite(nodes))
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+        assert np.all(np.isfinite(values))
+
+
+class TestPolarRuleOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(center=centers(), radial=ORDERS, angular=ORDERS, cutoff=CUTOFFS)
+    def test_bit_equal_to_per_ring_loop(self, center, radial, angular, cutoff):
+        new = polar_rule_at(center, radial, angular, cutoff)
+        old = oracles.polar_rule_at(center, radial, angular, cutoff)
+        assert np.array_equal(new.nodes, old.nodes)
+        assert np.array_equal(new.weights, old.weights)
+        for key in ("center_distance", "log_weight"):
+            assert np.array_equal(new.aux[key], old.aux[key])
+        assert new.descriptor == old.descriptor
+
+
+class TestEstimateOracle:
+    @pytest.mark.parametrize(
+        "points, p",
+        [
+            ((0.5,), 1.5),
+            ((0.5,), 3.0),
+            ((0.5,), 3.9),
+            ((0.3, 0.3 + 0.02j), 1.6),
+            ((0.3, 0.3 + 0.02j), 2.5),
+        ],
+    )
+    def test_equal_to_two_average_loop(self, points, p):
+        weight = WeightSpec.point_product(points, 2.0 - p)
+        assert bekolle_bonami_estimate(weight, p) == oracles.bekolle_bonami_estimate(weight, p)
+
+    def test_whole_disc_maximum_kept(self):
+        # at a = 0.5, p = 3.9 the graded whole-disc tent gives the maximum
+        weight = WeightSpec.point_product((0.5,), 2.0 - 3.9)
+        got = bekolle_bonami_estimate(weight, 3.9)
+        assert got == oracles.bekolle_bonami_estimate(weight, 3.9)
+        assert got == bekolle_bonami_estimate(weight, 3.9, apex_grid=[0j])
+
+    def test_non_integrable_in_both(self):
+        weight = WeightSpec.point_product((0.5,), 2.0 - 4.0)
+        with pytest.raises(NonIntegrable) as new:
+            bekolle_bonami_estimate(weight, 4.0)
+        with pytest.raises(NonIntegrable) as old:
+            oracles.bekolle_bonami_estimate(weight, 4.0)
+        assert str(new.value) == str(old.value)
