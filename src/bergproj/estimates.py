@@ -297,12 +297,14 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     lower bound for it.  ``rule`` is the per-axis order of the tent
     rules.  Both the weight and its dual power are first integrated over
     the whole disc at two resolutions -- the refinement also deepens the
-    graded-rule cutoff -- and a shift above 50% raises NonIntegrable.
+    graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
+    coarser pair is the whole-disc tent's (apex 0) pair of averages.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     dual_power = -1.0 / (p - 1.0)
     disc_tent = TentRegion(0j)
+    whole_disc = []  # the apex-0 averages: same order, same cutoff
     for power in (1.0, dual_power):
         try:
             base = tent_average(
@@ -326,6 +328,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
                 f"average of weight power {power:g} moved from {base:.3e} to "
                 f"{fine:.3e} under refinement"
             )
+        whole_disc.append(base)
 
     if apex_grid is None:
         apex_grid = default_apex_grid()
@@ -333,10 +336,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     for apex in apex_grid:
         tent = TentRegion(complex(apex))
         if tent.is_whole_disc:
-            # the whole disc may take the graded polar rule, by the sign
-            # of each power's exponent
-            avg_u = tent_average(weight, 1.0, tent, rule)
-            avg_dual = tent_average(weight, dual_power, tent, rule)
+            avg_u, avg_dual = whole_disc
         else:
             avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule)
         best = max(best, avg_u * avg_dual ** (p - 1.0))

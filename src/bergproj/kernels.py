@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import InterpolationInconsistent, PoleProximity
-from .quadrature import integrate_polydisc
+from .quadrature import INTEGRAND_CHUNK, integrate_polydisc
 from .symmetrization import jacobian_phi, local_inverse_roots, Permutation
 
 #: kernels refuse to evaluate when a denominator factor is smaller than this
@@ -354,8 +354,18 @@ class KernelSpec:
         return np.abs(out) if self.positive else out
 
 
-def apply_operator(spec, f, z, rule, n, symmetric_f=False, chunk=1 << 18):
+def apply_operator(spec, f, z, rule, n, symmetric_f=False):
     """Integrate kernel(z, conj(w)) * f(w) over the polydisc with a tensor rule.
+
+    ``z`` is one point (shape (n,)) or a stack of Z points (shape (Z, n)),
+    and ``f`` maps an (m, n) array of points to (m,) values or to (F, m)
+    values of F functions at once.  The result has shape z.shape[:-1] +
+    (F,), without the F axis for (m,) values: a complex number for one
+    point and one function.  Each chunk of integration points is evaluated
+    by ``f`` once and by the kernel once per point of ``z``, and that one
+    kernel evaluation serves every function.  A chunk holds at most
+    ``INTEGRAND_CHUNK`` values in all (Z * F * points); ``f`` is called once
+    more, at the rule's first tensor point, to read F.
 
     When ``symmetric_f=True`` the caller asserts f is invariant under
     coordinate permutations.  The kernel is then replaced by its average
@@ -365,20 +375,31 @@ def apply_operator(spec, f, z, rule, n, symmetric_f=False, chunk=1 << 18):
     """
     if spec.n != n:
         raise ValueError("kernel dimension does not match the integration dimension")
+    z = np.asarray(z)
+    if z.ndim not in (1, 2) or z.shape[-1] != n:
+        raise ValueError(f"z must be one point of {n} coordinates or a stack of them")
+    points = z if z.ndim == 2 else z[None]
+    probe = np.asarray(f(np.full((1, n), rule.nodes[0])))
+    chunk = max(1, INTEGRAND_CHUNK // (len(points) * math.prod(probe.shape[:-1])))
 
     if symmetric_f:
         perms = list(permutations(range(n)))
 
-        def integrand(pts):
-            wbar = np.conj(pts)
-            ker = spec.evaluate(z, wbar[:, perms[0]])
+        def kernel(point, wbar):
+            ker = spec.evaluate(point, wbar[:, perms[0]])
             for tau in perms[1:]:
-                ker = ker + spec.evaluate(z, wbar[:, tau])
-            return (ker / len(perms)) * np.asarray(f(pts))
+                ker = ker + spec.evaluate(point, wbar[:, tau])
+            return ker / len(perms)
 
-        return integrate_polydisc(integrand, rule, n, symmetric=True, chunk=chunk)
+    else:
+        kernel = spec.evaluate
 
     def integrand(pts):
-        return spec.evaluate(z, np.conj(pts)) * np.asarray(f(pts))
+        wbar = np.conj(pts)
+        if z.ndim == 1:
+            return kernel(z, wbar) * np.asarray(f(pts))
+        ker = np.stack([kernel(point, wbar) for point in points])
+        values = np.asarray(f(pts))
+        return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
 
-    return integrate_polydisc(integrand, rule, n, symmetric=False, chunk=chunk)
+    return integrate_polydisc(integrand, rule, n, symmetric=symmetric_f, chunk=chunk)

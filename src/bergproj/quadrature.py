@@ -297,10 +297,16 @@ def refine(rule: QuadratureRule, radial_factor=2.0, angular_factor=2.0) -> Quadr
 
 
 def _check_finite(values, where):
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
+    finite = np.isfinite(values)
+    if not np.all(finite):
+        # a node is bad when any of its batched values is
+        bad = int(np.argmin(np.all(finite, axis=tuple(range(finite.ndim - 1)))))
         raise OverflowInIntegrand(f"non-finite integrand value near node #{bad} ({where})")
 
+
+#: values per integrand call: a full-tensor chunk holds this many points
+#: of a one-valued integrand, fewer when each point carries a batch of values
+INTEGRAND_CHUNK = 1 << 18
 
 #: tuples per part when a symmetric block or a pair table is evaluated
 #: piecewise; it must stay at or above 2^15 so that the parts of a cut
@@ -393,10 +399,18 @@ class PairTable:
         return self.values[_triangle_start(self.size, low) :], rows
 
 
-def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
+def _batch_total(acc):
+    return complex(acc) if np.ndim(acc) == 0 else np.asarray(acc, dtype=complex)
+
+
+def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     """Tensor-product integral of f over the polydisc D^n.
 
-    ``f`` maps an (m, n) complex array of points to an (m,) array.  With
+    ``f`` maps an (m, n) complex array of points to an (m,) array, or to an
+    array of shape (..., m) whose leading axes index a batch of integrands
+    that share the points; the last axis is summed against the rule weights
+    and the result has the batch shape (a complex number for an (m,)
+    integrand).  ``chunk`` is the number of points per call of ``f``.  With
     ``symmetric=True`` (the integrand must be invariant under coordinate
     permutations) the tensor sum is restricted to sorted index tuples with
     multiset multiplicities, an exact reduction by up to n! in work.  ``f``
@@ -411,7 +425,7 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
     if n == 1:
         vals = np.asarray(f(nodes[:, None]))
         _check_finite(vals, "n=1")
-        return complex(np.sum(weights * vals))
+        return _batch_total(np.sum(weights * vals, axis=-1))
     if symmetric:
         acc = 0.0 + 0.0j
         for prefix, j, k, weight in symmetric_blocks(weights, n):
@@ -420,10 +434,10 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
                 columns = [np.full(len(j[part]), nodes[i]) for i in prefix]
                 pts = np.stack(columns + [nodes[j[part]], nodes[k[part]]], axis=1)
                 parts.append(np.asarray(f(pts)))
-            vals = np.concatenate(parts)
+            vals = np.concatenate(parts, axis=-1)
             _check_finite(vals, f"symmetric n={n}, prefix={prefix}")
-            acc += np.sum(weight * vals)
-        return complex(acc)
+            acc += np.sum(weight * vals, axis=-1)
+        return _batch_total(acc)
     total = size**n
     shape = (size,) * n
     acc = 0.0 + 0.0j
@@ -436,8 +450,8 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=1 << 18):
             w *= weights[ix]
         vals = np.asarray(f(pts))
         _check_finite(vals, f"chunk at {start}")
-        acc += np.sum(w * vals)
-    return complex(acc)
+        acc += np.sum(w * vals, axis=-1)
+    return _batch_total(acc)
 
 
 def monte_carlo_polydisc(f, sample_count, seed, n):

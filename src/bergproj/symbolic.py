@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -282,6 +283,10 @@ def mul_truncate_block(f, g, start, length, max_deg):
 
 # ---------------------------------------------------------------------------
 # kernel building blocks, zero-based indices, layout (z_0..z_{n-1}, w_0..w_{n-1})
+#
+# The four pair products and denominators are built once per n and the
+# same MultiPoly is returned after that: no function here mutates a
+# MultiPoly, every ring operation returns a new one.
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +310,7 @@ def b_factor(n, j, k):
     return (zj - zk) * (wj - wk)
 
 
+@cache
 def symmetric_pair_product(n):
     """prod over j<k of (1 - z_k w_j)(1 - z_j w_k)."""
     out = MultiPoly.constant(2 * n, 1)
@@ -313,6 +319,7 @@ def symmetric_pair_product(n):
     return out
 
 
+@cache
 def vandermonde_pair_product(n):
     """prod over j<k of (z_j - z_k)(w_j - w_k)."""
     out = MultiPoly.constant(2 * n, 1)
@@ -331,6 +338,7 @@ def t2_numerator(n):
     return vandermonde_pair_product(n)
 
 
+@cache
 def full_denominator(n):
     """prod over j<=k of (1 - z_k w_j)(1 - z_j w_k): shared denominator."""
     out = MultiPoly.constant(2 * n, 1)
@@ -340,6 +348,7 @@ def full_denominator(n):
     return out
 
 
+@cache
 def diagonal_denominator(n):
     """prod over j of (1 - z_j w_j)^2: the polydisc Bergman denominator."""
     out = MultiPoly.constant(2 * n, 1)

@@ -9,7 +9,12 @@ them, and the tests hold the new paths to them bit for bit:
   rings and one of arcs;
 * the apex loop of ``bekolle_bonami_estimate`` that took each tent's two
   averages through two ``tent_average`` calls, each building the tent's
-  rule and evaluating the weight on it.
+  rule and evaluating the weight on it, and the whole-disc tent's two
+  averages a second time after the integrability check;
+* the full-tensor ``apply_operator`` for one sample point and one
+  function, which evaluated the kernel again for every function and
+  every point, in chunks of 2^18 tensor points; one point and one
+  function must match it bit for bit, batches to 1e-13 of their scale.
 """
 
 import math
@@ -154,3 +159,23 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
         avg_dual = tent_average(weight, dual_power, tent, rule)
         best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
+
+
+def apply_operator(spec, f, z, rule, n, chunk=1 << 18):
+    nodes = np.asarray(rule.nodes)
+    weights = np.asarray(rule.weights)
+    size = len(nodes)
+    total = size**n
+    shape = (size,) * n
+    acc = 0.0 + 0.0j
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        multi = np.unravel_index(idx, shape)
+        pts = np.stack([nodes[ix] for ix in multi], axis=1)
+        w = weights[multi[0]].copy()
+        for ix in multi[1:]:
+            w *= weights[ix]
+        vals = spec.evaluate(z, np.conj(pts)) * np.asarray(f(pts))
+        _check_finite(vals, f"chunk at {start}")
+        acc += np.sum(w * vals)
+    return complex(acc)

@@ -14,10 +14,12 @@ import pytest
 
 from bergproj.errors import QuadratureNotConverged
 from bergproj.experiments import (
+    DEFAULT_ANNIHILATION_RULE_ORDERS,
     REPORT_SCHEMA,
     SCHEMA_VERSION,
     _alternating_monomial,
     _fit_line,
+    _vandermonde_function,
     annihilation_check,
     blowup_experiment,
     boundedness_scan,
@@ -25,6 +27,9 @@ from bergproj.experiments import (
     identity_suite,
     write_ratio_csv,
 )
+from bergproj.kernels import KernelSpec
+from bergproj.quadrature import disc_rule, refine
+import oracles
 
 
 def check_schema(report):
@@ -196,6 +201,28 @@ class TestAnnihilationCheck:
         for row in annihilation_report.rows:
             assert row["threshold"] > 0
             assert row["passed"]
+
+    @pytest.mark.parametrize("n, rule", [(2, None), (3, disc_rule(2, 4))])
+    def test_rows_equal_per_point_per_function_calls(self, n, rule):
+        # the two batched operator calls against one oracle call per
+        # (sample point, function, rule)
+        z_samples = default_annihilation_samples(n, count=4, seed=5)
+        report = annihilation_check(n, z_samples=z_samples, rule=rule)
+        base = rule if rule is not None else disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
+        functions = [
+            _vandermonde_function,
+            _alternating_monomial({2: (2, 0), 3: (3, 1, 0)}[n]),
+            lambda pts: pts[:, 0],
+        ]
+        spec = KernelSpec("t1", n)
+        scale = report.rows[2]["max_abs"]
+        for row, f in zip(report.rows, functions):
+            coarse, fine = (
+                np.array([oracles.apply_operator(spec, f, z, r, n) for z in z_samples])
+                for r in (base, refine(base, 1.5, 1.5))
+            )
+            assert abs(row["max_abs"] - np.max(np.abs(fine))) <= 1e-13 * scale
+            assert abs(row["delta"] - np.max(np.abs(fine - coarse))) <= 1e-13 * scale
 
     def test_control_can_be_disabled(self):
         report = annihilation_check(2, z_samples=np.array([[0.2, 0.1j]]),

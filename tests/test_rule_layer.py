@@ -5,7 +5,8 @@ Oracles (``oracles.py``):
 * the per-ring ``polar_rule_at``, which the block-wise rule must match
   bit for bit in nodes, weights and both ``aux`` arrays;
 * the apex loop of ``bekolle_bonami_estimate`` with two ``tent_average``
-  calls per tent, which the one-rule-per-tent loop must match exactly.
+  calls per tent, which the one-rule-per-tent loop, reusing the
+  integrability check's whole-disc averages, must match exactly.
 
 Invariants: finite nodes and positive weights for every rule family, a
 mass of pi for disc rules, polar nodes inside the disc.  Polar weights of
@@ -27,10 +28,12 @@ from hypothesis import strategies as st
 
 import bergproj.quadrature as quadrature
 from bergproj.errors import NonIntegrable
+import bergproj.estimates as estimates
 from bergproj.estimates import (
     TentRegion,
     _sector_cubature,
     bekolle_bonami_estimate,
+    default_apex_grid,
     tent_rule,
 )
 from bergproj.quadrature import WeightSpec, disc_rule, legendre_nodes, polar_rule_at
@@ -183,6 +186,32 @@ class TestEstimateOracle:
     def test_equal_to_two_average_loop(self, points, p):
         weight = WeightSpec.point_product(points, 2.0 - p)
         assert bekolle_bonami_estimate(weight, p) == oracles.bekolle_bonami_estimate(weight, p)
+
+    @pytest.mark.parametrize("points, p", [((0.5,), 3.0), ((0.3, 0.3 + 0.02j), 1.6)])
+    def test_equal_on_a_grid_without_origin(self, points, p):
+        weight = WeightSpec.point_product(points, 2.0 - p)
+        grid = default_apex_grid()[1:]
+        assert 0j not in grid
+        got = bekolle_bonami_estimate(weight, p, apex_grid=grid)
+        assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=grid)
+
+    def test_whole_disc_averages_taken_once(self, monkeypatch):
+        # at a = 0.5, p = 3 only the weight itself is graded: the
+        # integrability check builds its polar rule at two orders, and the
+        # apex-0 tent reuses the coarser one instead of building it again
+        weight = WeightSpec.point_product((0.5,), 2.0 - 3.0)
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return polar_rule_at(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, "polar_rule_at", counting)
+        got = bekolle_bonami_estimate(weight, 3.0)
+        assert len(builds) == 2
+        builds.clear()
+        assert got == oracles.bekolle_bonami_estimate(weight, 3.0)
+        assert len(builds) == 3
 
     def test_whole_disc_maximum_kept(self):
         # at a = 0.5, p = 3.9 the graded whole-disc tent gives the maximum

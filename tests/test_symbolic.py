@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergproj.experiments import identity_suite
 from bergproj.symbolic import (
     GaussianRational,
     MultiPoly,
@@ -201,6 +202,24 @@ class TestKernelBuilders:
     def test_tilde_numerator_vanishes_on_diagonal(self):
         f = tilde_t_numerator(2)
         assert f.eval((0.3, 0.1, 0.7j, 0.7j)) == 0
+
+    def test_cached_products_equal_fresh_builds_after_suite(self):
+        # the suite with its negative controls must leave the shared,
+        # memoized polynomials as a fresh build makes them
+        identity_suite(4, negative_controls=True)
+        constructors = (
+            symmetric_pair_product,
+            vandermonde_pair_product,
+            full_denominator,
+            diagonal_denominator,
+        )
+        for construct in constructors:
+            for n in (2, 3, 4):
+                cached = construct(n)
+                assert construct(n) is cached
+                fresh = construct.__wrapped__(n)
+                assert fresh is not cached
+                assert cached == fresh and cached.nvars == fresh.nvars == 2 * n
 
     def test_denominator_factors_consistently(self):
         # shared denominator = pair product * diagonal part, exactly
