@@ -207,7 +207,7 @@ def _calibrate_image_constant(n, orders):
     ratios = []
     for z in CALIBRATION_POINTS[n]:
         z = np.asarray(z)
-        image = apply_operator(spec, family, z, rule, n, symmetric_f=True)
+        image = apply_operator(spec, family, z, rule, symmetric_f=True)
         ratios.append(image / complex(tilde_shape(n, CALIBRATION_S, z)))
     constant = sum(ratios) / len(ratios)
     residual = max(abs(r - constant) for r in ratios) / abs(constant)
@@ -603,8 +603,8 @@ def annihilation_check(
         return np.stack([function(pts) for _, function, _ in functions])
 
     # one call per rule: every function at every sample point, shape (Z, F)
-    base_values = apply_operator(spec, stacked, z_samples, rule, n)
-    fine_values = apply_operator(spec, stacked, z_samples, fine, n)
+    base_values = apply_operator(spec, stacked, z_samples, rule)
+    fine_values = apply_operator(spec, stacked, z_samples, fine)
     rows = []
     all_passed = True
     columns = zip(functions, base_values.T, fine_values.T)

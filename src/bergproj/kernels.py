@@ -1,16 +1,15 @@
 """Bergman-type kernels on the polydisc, their decomposition, and operators.
 
-All kernels share the denominator prod_{j<=k} (1 - z_k wbar_j)(1 - z_j wbar_k)
-and a constant (1/pi)^n.  The full polydisc Bergman kernel splits into a
-part that annihilates antisymmetric functions (``kernel_T1``) and a part
-that reproduces them (``kernel_T2``); a family of interpolating kernels
-(``kernel_Pl``) walks between the two in n steps.  The conjugate-Vandermonde
-kernel (``kernel_tildeT``) transports the antisymmetric part to symmetric
-functions and is the engine of the blow-up experiments.
-
-Numeric evaluators are vectorized over rows of integration points; the
-exact counterparts of the same formulas live in :mod:`bergproj.symbolic`
-and the two layers are tested against each other.
+Every kernel of :data:`bergproj.symbolic.KERNEL_TABLE` -- the polydisc
+Bergman kernel, the part T1 that annihilates antisymmetric functions, the
+part T2 that reproduces them, the interpolating kernels P_l that walk
+between the two in n steps, and the conjugate-Vandermonde kernel that
+transports the antisymmetric part to symmetric functions and drives the
+blow-up experiments -- is (1/pi)^n times a signed sum of pair products
+over the shared denominator prod_{j<=k} (1 - z_k wbar_j)(1 - z_j wbar_k).
+:class:`KernelSpec` evaluates that table, vectorized over rows of
+integration points; :func:`bergproj.symbolic.rational_kernel` builds the
+same table exactly, and the two layers are tested against each other.
 """
 
 from __future__ import annotations
@@ -18,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import InterpolationInconsistent, PoleProximity
 from .quadrature import INTEGRAND_CHUNK, integrate_polydisc
+from .symbolic import kernel_terms
 from .symmetrization import jacobian_phi, local_inverse_roots, Permutation
 
 #: kernels refuse to evaluate when a denominator factor is smaller than this
@@ -32,11 +32,10 @@ POLE_GUARD = 1e-14
 
 def _as_rows(wbar, n):
     wbar = np.asarray(wbar, dtype=complex)
-    if wbar.ndim == 1:
-        return wbar[None, :], True
-    if wbar.shape[1] != n:
-        raise ValueError(f"expected {n} columns, got {wbar.shape[1]}")
-    return wbar, False
+    rows = wbar[None, :] if wbar.ndim == 1 else wbar
+    if rows.shape[1] != n:
+        raise ValueError(f"expected {n} columns, got {rows.shape[1]}")
+    return rows, wbar.ndim == 1
 
 
 def _guard(values, what):
@@ -45,97 +44,11 @@ def _guard(values, what):
         raise PoleProximity(f"{what} within {small:.2e} of a kernel singularity")
 
 
-def _pair_products(n, z, wbar):
-    """Shared building blocks: cross pair product, Vandermonde product, diagonal.
-
-    Returns (cross, vandermonde, diagonal) where cross is the product over
-    j<k of (1 - z_k wbar_j)(1 - z_j wbar_k), vandermonde the product over
-    j<k of (z_j - z_k)(wbar_j - wbar_k), and diagonal the product over j of
-    (1 - z_j wbar_j)^2.  The full shared denominator is cross * diagonal.
-    """
-    z = np.asarray(z, dtype=complex)
-    m = len(wbar)
-    cross = np.ones(m, dtype=complex)
-    vand = np.ones(m, dtype=complex)
-    diag = np.ones(m, dtype=complex)
-    for j in range(n):
-        factor = 1.0 - z[j] * wbar[:, j]
-        _guard(factor, "diagonal factor")
-        diag *= factor * factor
-        for k in range(j + 1, n):
-            f1 = 1.0 - z[k] * wbar[:, j]
-            f2 = 1.0 - z[j] * wbar[:, k]
-            _guard(f1, "cross factor")
-            _guard(f2, "cross factor")
-            cross *= f1 * f2
-            vand *= (z[j] - z[k]) * (wbar[:, j] - wbar[:, k])
-    return cross, vand, diag
-
-
 def bergman_disc(z, wbar):
     """Bergman kernel of the unit disc, 1 / (pi (1 - z wbar)^2)."""
     factor = 1.0 - np.asarray(z, complex) * np.asarray(wbar, complex)
     _guard(np.atleast_1d(factor), "disc kernel")
     return 1.0 / (math.pi * factor * factor)
-
-
-def bergman_polydisc(n, z, wbar):
-    """Product of one-variable Bergman kernels."""
-    wbar, single = _as_rows(wbar, n)
-    _, _, diag = _pair_products(n, z, wbar)
-    out = 1.0 / (math.pi**n * diag)
-    return out[0] if single else out
-
-
-def kernel_T1(n, z, wbar):
-    """The part of the polydisc kernel annihilating antisymmetric functions."""
-    wbar, single = _as_rows(wbar, n)
-    cross, vand, diag = _pair_products(n, z, wbar)
-    out = (cross - vand) / (math.pi**n * cross * diag)
-    return out[0] if single else out
-
-
-def kernel_T2(n, z, wbar):
-    """The part of the polydisc kernel reproducing antisymmetric functions."""
-    wbar, single = _as_rows(wbar, n)
-    cross, vand, diag = _pair_products(n, z, wbar)
-    out = vand / (math.pi**n * cross * diag)
-    return out[0] if single else out
-
-
-def kernel_Pl(n, l, z, wbar):
-    """Interpolating kernel: symmetric factors up to index l, Vandermonde beyond.
-
-    l = 1 coincides with ``kernel_T2`` and l = n with the full polydisc
-    Bergman kernel.
-    """
-    if not 1 <= l <= n:
-        raise ValueError(f"l must lie in 1..{n}, got {l}")
-    wbar, single = _as_rows(wbar, n)
-    z = np.asarray(z, dtype=complex)
-    cross, _, diag = _pair_products(n, z, wbar)
-    num = np.ones(len(wbar), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if k + 1 <= l:
-                num *= (1.0 - z[k] * wbar[:, j]) * (1.0 - z[j] * wbar[:, k])
-            else:
-                num *= (z[j] - z[k]) * (wbar[:, j] - wbar[:, k])
-    out = num / (math.pi**n * cross * diag)
-    return out[0] if single else out
-
-
-def kernel_tildeT(n, z, wbar):
-    """Conjugate-Vandermonde kernel: squared wbar Vandermonde over the shared denominator."""
-    wbar, single = _as_rows(wbar, n)
-    cross, _, diag = _pair_products(n, z, wbar)
-    num = np.ones(len(wbar), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            diff = wbar[:, j] - wbar[:, k]
-            num *= diff * diff
-    out = num / (math.pi**n * cross * diag)
-    return out[0] if single else out
 
 
 def bergman_symmetrized(p, q, tol=1e-12):
@@ -324,13 +237,62 @@ def apply_D_operator(coeffs, q):
     return [q(m + 1) * c for m, c in enumerate(coeffs)]
 
 
+def _shared_denominator(z, wbar):
+    """(cross, diag): the products over j < k of (1 - z_k wbar_j)(1 - z_j wbar_k)
+    and over j of (1 - z_j wbar_j)^2, whose product is the shared denominator."""
+    n = len(z)
+    cross = np.ones(len(wbar), dtype=complex)
+    diag = np.ones(len(wbar), dtype=complex)
+    for j in range(n):
+        factor = 1.0 - z[j] * wbar[:, j]
+        _guard(factor, "diagonal factor")
+        diag *= factor * factor
+        for k in range(j + 1, n):
+            f1 = 1.0 - z[k] * wbar[:, j]
+            f2 = 1.0 - z[j] * wbar[:, k]
+            _guard(f1, "cross factor")
+            _guard(f2, "cross factor")
+            cross *= f1 * f2
+    return cross, diag
+
+
+def _pair_factor(name, z, wbar, j, k):
+    """The factor a term of the kernel table takes at the pair (j, k)."""
+    if name == "symmetric":
+        return (1.0 - z[k] * wbar[:, j]) * (1.0 - z[j] * wbar[:, k])
+    if name == "vandermonde":
+        return (z[j] - z[k]) * (wbar[:, j] - wbar[:, k])
+    diff = wbar[:, j] - wbar[:, k]
+    return diff * diff
+
+
+def _term_sum(terms, z, wbar, cross):
+    """The signed sum of the terms; a term whose every pair is symmetric
+    is the denominator's ``cross`` product itself."""
+    num = None
+    for sign, factors in terms:
+        if all(name == "symmetric" for name in factors):
+            term = cross
+        else:
+            term = np.ones(len(wbar), dtype=complex)
+            for (j, k), name in zip(combinations(range(len(z)), 2), factors):
+                term *= _pair_factor(name, z, wbar, j, k)
+        if num is None:
+            num = term if sign > 0 else -term
+        else:
+            num = num + term if sign > 0 else num - term
+    return num
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel family to integrate against, and how.
 
-    ``family`` is one of: bergman_polydisc, t1, t2, tilde, pl.
-    ``positive=True`` integrates against the modulus of the kernel (the
-    absolute-kernel majorant operator).
+    ``family`` is one of the families of
+    :data:`bergproj.symbolic.KERNEL_TABLE`: bergman_polydisc, t1, t2,
+    tilde, or pl with its level ``l`` in 1..n.  ``positive=True``
+    integrates against the modulus of the kernel (the absolute-kernel
+    majorant operator).
     """
 
     family: str
@@ -338,23 +300,28 @@ class KernelSpec:
     l: int | None = None
     positive: bool = False
 
+    def __post_init__(self):
+        kernel_terms(self.family, self.n, self.l)
+
     def evaluate(self, z, wbar):
-        if self.family == "bergman_polydisc":
-            out = bergman_polydisc(self.n, z, wbar)
-        elif self.family == "t1":
-            out = kernel_T1(self.n, z, wbar)
-        elif self.family == "t2":
-            out = kernel_T2(self.n, z, wbar)
-        elif self.family == "tilde":
-            out = kernel_tildeT(self.n, z, wbar)
-        elif self.family == "pl":
-            out = kernel_Pl(self.n, self.l, z, wbar)
-        else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        return np.abs(out) if self.positive else out
+        """The kernel at one point z (n coordinates) and one row or an
+        (m, n) array of rows wbar."""
+        n = self.n
+        wbar, single = _as_rows(wbar, n)
+        z = np.asarray(z, dtype=complex)
+        if z.shape != (n,):
+            raise ValueError(f"z must have {n} coordinates, got shape {z.shape}")
+        # each loop runs in its own function, so that its pair temporaries
+        # are freed before the next one starts
+        cross, diag = _shared_denominator(z, wbar)
+        num = _term_sum(kernel_terms(self.family, n, self.l), z, wbar, cross)
+        out = num / (math.pi**n * cross * diag)
+        if self.positive:
+            out = np.abs(out)
+        return out[0] if single else out
 
 
-def apply_operator(spec, f, z, rule, n, symmetric_f=False):
+def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     """Integrate kernel(z, conj(w)) * f(w) over the polydisc with a tensor rule.
 
     ``z`` is one point (shape (n,)) or a stack of Z points (shape (Z, n)),
@@ -373,8 +340,7 @@ def apply_operator(spec, f, z, rule, n, symmetric_f=False):
     integral unchanged for symmetric f -- and the symmetric tensor
     reduction of the rule is used, cutting the node count by n!.
     """
-    if spec.n != n:
-        raise ValueError("kernel dimension does not match the integration dimension")
+    n = spec.n
     z = np.asarray(z)
     if z.ndim not in (1, 2) or z.shape[-1] != n:
         raise ValueError(f"z must be one point of {n} coordinates or a stack of them")

@@ -8,8 +8,11 @@ identity at a few pseudorandom points before the exact comparison runs.
 Variable layout for kernel polynomials in dimension n: the first n slots
 are the holomorphic variables z_0..z_{n-1}, the next n slots are the
 conjugated integration variables w_0..w_{n-1} (written wbar in formulas).
-The kernel constructors build numerators and denominators only; the
-constant (1/pi)^n of the analytic kernels is applied in the numeric layer.
+
+This module owns the kernel table, :data:`KERNEL_TABLE`, which puts every
+kernel, the polydisc Bergman kernel included, over one shared denominator;
+:func:`rational_kernel` builds it exactly and
+:class:`bergproj.kernels.KernelSpec` evaluates it in floats.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _coeff_to_complex(c):
-    return complex(c)
 
 
 class MultiPoly:
@@ -205,7 +204,7 @@ class MultiPoly:
         """Evaluate at a sequence of numbers (complex allowed)."""
         total = 0j if any(isinstance(p, complex) for p in point) else 0
         for exps, coeff in self.terms.items():
-            val = _coeff_to_complex(coeff) if isinstance(coeff, GaussianRational) else coeff
+            val = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
             for i, e in enumerate(exps):
                 if e:
                     val = val * point[i] ** e
@@ -328,16 +327,6 @@ def vandermonde_pair_product(n):
     return out
 
 
-def t1_numerator(n):
-    """Numerator of the symmetric-part kernel: pair product minus Vandermonde product."""
-    return symmetric_pair_product(n) - vandermonde_pair_product(n)
-
-
-def t2_numerator(n):
-    """Numerator of the antisymmetric-part kernel."""
-    return vandermonde_pair_product(n)
-
-
 @cache
 def full_denominator(n):
     """prod over j<=k of (1 - z_k w_j)(1 - z_j w_k): shared denominator."""
@@ -354,37 +343,6 @@ def diagonal_denominator(n):
     out = MultiPoly.constant(2 * n, 1)
     for j in range(n):
         out = out * a_factor(n, j, j) * a_factor(n, j, j)
-    return out
-
-
-def pl_numerator(n, l):
-    """Numerator of the l-th interpolating kernel, 1 <= l <= n.
-
-    Pairs with both indices at most l contribute the symmetric factors,
-    pairs whose larger index exceeds l contribute Vandermonde factors.
-    l = 1 gives the antisymmetric-part numerator, l = n the symmetric
-    pair product (whose ratio with the shared denominator is the polydisc
-    Bergman kernel).
-    """
-    if not 1 <= l <= n:
-        raise ValueError(f"l must lie in 1..{n}, got {l}")
-    out = MultiPoly.constant(2 * n, 1)
-    for j, k in combinations(range(n), 2):
-        if k + 1 <= l:
-            out = out * a_factor(n, k, j) * a_factor(n, j, k)
-        else:
-            out = out * b_factor(n, j, k)
-    return out
-
-
-def tilde_t_numerator(n):
-    """Numerator of the conjugate-Vandermonde kernel: prod over j<k of (w_j - w_k)^2."""
-    nvars = 2 * n
-    out = MultiPoly.constant(nvars, 1)
-    for j, k in combinations(range(n), 2):
-        wj = MultiPoly.variable(nvars, n + j)
-        wk = MultiPoly.variable(nvars, n + k)
-        out = out * (wj - wk) * (wj - wk)
     return out
 
 
@@ -447,24 +405,86 @@ def swap_block_variables(f, i, j, block):
     )
 
 
-def t1_kernel(n):
-    return RationalFn(t1_numerator(n), full_denominator(n), n)
+# ---------------------------------------------------------------------------
+# the kernel table
+#
+# Every kernel is (1/pi)^n times a numerator over full_denominator(n).  The
+# numerator is a signed sum of terms, and each term takes one of three
+# factors for every pair j < k:
+#
+#   symmetric            (1 - z_k w_j)(1 - z_j w_k)
+#   vandermonde          (z_j - z_k)(w_j - w_k)
+#   squared_difference   (w_j - w_k)^2
+#
+# The interpolating kernel P_l takes the symmetric factor when k + 1 <= l
+# and the Vandermonde factor otherwise.  The polydisc Bergman kernel is P_n,
+# the reproducing part T2 is P_1, the annihilating part T1 is P_n - P_1, and
+# the conjugate-Vandermonde kernel takes the squared difference at every
+# pair.  kernels.KernelSpec evaluates the table in floats and
+# rational_kernel builds it exactly.
+# ---------------------------------------------------------------------------
+
+#: family -> signed terms (sign, level): the term of level l is the numerator
+#: of P_l, where level "n" is P_n and "l" the level the caller gives; level
+#: None is the squared difference at every pair
+KERNEL_TABLE = {
+    "bergman_polydisc": ((1, "n"),),
+    "t1": ((1, "n"), (-1, 1)),
+    "t2": ((1, 1),),
+    "pl": ((1, "l"),),
+    "tilde": ((1, None),),
+}
 
 
-def t2_kernel(n):
-    return RationalFn(t2_numerator(n), full_denominator(n), n)
+@cache
+def kernel_terms(family, n, l=None):
+    """The terms of one kernel of :data:`KERNEL_TABLE` in dimension n.
+
+    Returns a tuple of (sign, factors), where ``factors`` names the factor
+    of each pair (j, k) in ``combinations(range(n), 2)`` order.  Raises
+    ValueError for an unknown family, for ``pl`` without a level, for a
+    level given to any other family, and for a level that is not an
+    integer in 1..n.
+    """
+    if family not in KERNEL_TABLE:
+        raise ValueError(f"unknown kernel family {family!r}")
+    if family == "pl" and l is None:
+        raise ValueError("the pl family needs a level l")
+    if family != "pl" and l is not None:
+        raise ValueError(f"the {family} family takes no level, got l={l}")
+    if l is not None and l not in range(1, n + 1):
+        raise ValueError(f"l must be an integer in 1..{n}, got {l}")
+    pairs = list(combinations(range(n), 2))
+    terms = []
+    for sign, level in KERNEL_TABLE[family]:
+        if level is None:
+            factors = ("squared_difference",) * len(pairs)
+        else:
+            level = {"n": n, "l": l}.get(level, level)
+            factors = tuple("symmetric" if k + 1 <= level else "vandermonde" for _, k in pairs)
+        terms.append((sign, factors))
+    return tuple(terms)
 
 
-def pl_kernel(n, l):
-    return RationalFn(pl_numerator(n, l), full_denominator(n), n)
+def _pair_factor(name, n, j, k):
+    if name == "symmetric":
+        return a_factor(n, k, j) * a_factor(n, j, k)
+    if name == "vandermonde":
+        return b_factor(n, j, k)
+    diff = MultiPoly.variable(2 * n, n + j) - MultiPoly.variable(2 * n, n + k)
+    return diff * diff
 
 
-def tilde_t_kernel(n):
-    return RationalFn(tilde_t_numerator(n), full_denominator(n), n)
-
-
-def bergman_polydisc_kernel(n):
-    return RationalFn(MultiPoly.constant(2 * n, 1), diagonal_denominator(n), n)
+def rational_kernel(family, n, l=None):
+    """One kernel of :data:`KERNEL_TABLE`, exactly and without its constant
+    (1/pi)^n: the numerator the table gives over :func:`full_denominator`."""
+    num = MultiPoly.zero(2 * n)
+    for sign, factors in kernel_terms(family, n, l):
+        term = MultiPoly.constant(2 * n, 1)
+        for (j, k), name in zip(combinations(range(n), 2), factors):
+            term = term * _pair_factor(name, n, j, k)
+        num = num + term if sign > 0 else num - term
+    return RationalFn(num, full_denominator(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +647,7 @@ def t1_series_w_antisymmetrization(n, order, numerator=None):
     """
     nvars = 2 * n
     if numerator is None:
-        numerator = t1_numerator(n)
+        numerator = rational_kernel("t1", n).num
     series = truncate_block_degree(numerator, n, n, order)
     for j in range(n):
         for k in range(j, n):

@@ -93,7 +93,7 @@ def test_criterion_2_annihilation_and_chain_independence():
     spread = 0.0
     for z in z_samples:
         values = [
-            apply_operator(KernelSpec(family="pl", n=3, l=l), alternating, z, rule, 3)
+            apply_operator(KernelSpec(family="pl", n=3, l=l), alternating, z, rule)
             for l in (1, 2, 3)
         ]
         spread = max(
@@ -128,7 +128,7 @@ def test_criterion_3_closed_form_cross_check():
         def family(pts, s=s):
             return hs_family(2, s, pts)
 
-        quad = apply_operator(spec, family, z, rule, 2, symmetric_f=True)
+        quad = apply_operator(spec, family, z, rule, symmetric_f=True)
         # the quadrature uses the unit-normalized family; the closed form
         # is stated for the area-normalized one, hence the pi
         closed = math.pi * tildeT2_closed_form(s, z)
@@ -332,7 +332,7 @@ def test_criterion_10_quadrature_soundness(blowup_n2, blowup_n3):
             return pts[:, 0] ** a * pts[:, 1] ** b
 
         for z in (np.array([0.3 + 0.2j, -0.5]), np.array([0.6, 0.55j])):
-            got = apply_operator(spec, monomial, z, rule, 2)
+            got = apply_operator(spec, monomial, z, rule)
             worst_reproduction = max(
                 worst_reproduction, abs(got - z[0] ** a * z[1] ** b)
             )

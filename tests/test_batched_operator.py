@@ -74,7 +74,7 @@ class TestApplyOperatorBatch:
         spec, rule, z, functions = case
         n = spec.n
         with mock.patch.object(kernels, "INTEGRAND_CHUNK", budget):
-            got = apply_operator(spec, stack_of(functions), z, rule, n)
+            got = apply_operator(spec, stack_of(functions), z, rule)
         want = np.array(
             [[oracles.apply_operator(spec, f, point, rule, n) for f in functions] for point in z]
         )
@@ -97,7 +97,7 @@ class TestApplyOperatorBatch:
         rule = disc_rule(*orders)
         f = monomial((2, 1, 0)[:n], True)
         z = interior_points(11, 1, n)[0]
-        got = apply_operator(spec, f, z, rule, n)
+        got = apply_operator(spec, f, z, rule)
         assert isinstance(got, complex)
         assert got == oracles.apply_operator(spec, f, z, rule, n)
 
@@ -111,7 +111,7 @@ class TestApplyOperatorBatch:
             return np.stack([pts[:, 0], pts[:, 1] ** 2])
 
         with mock.patch.object(kernels, "INTEGRAND_CHUNK", 1000):
-            apply_operator(KernelSpec("t1", 2), functions, interior_points(4, 3, 2), rule, 2)
+            apply_operator(KernelSpec("t1", 2), functions, interior_points(4, 3, 2), rule)
         assert seen[0] == 1
         assert max(seen[1:]) == 1000 // 6
         assert sum(seen[1:]) == rule.size**2
@@ -120,23 +120,23 @@ class TestApplyOperatorBatch:
         spec, rule = KernelSpec("t2", 2), disc_rule(3, 6)
         z = interior_points(3, 4, 2)
         f, g = monomial((1, 0), False), monomial((0, 2), True)
-        assert apply_operator(spec, f, z, rule, 2).shape == (4,)
-        assert apply_operator(spec, stack_of([f, g]), z[0], rule, 2).shape == (2,)
-        assert apply_operator(spec, stack_of([f]), z, rule, 2).shape == (4, 1)
+        assert apply_operator(spec, f, z, rule).shape == (4,)
+        assert apply_operator(spec, stack_of([f, g]), z[0], rule).shape == (2,)
+        assert apply_operator(spec, stack_of([f]), z, rule).shape == (4, 1)
 
     @pytest.mark.parametrize("z", [np.zeros(3), np.zeros((2, 3)), np.zeros((1, 2, 2))])
     def test_wrong_point_shape_rejected(self, z):
         with pytest.raises(ValueError):
-            apply_operator(KernelSpec("t1", 2), monomial((1, 0), False), z, disc_rule(3, 6), 2)
+            apply_operator(KernelSpec("t1", 2), monomial((1, 0), False), z, disc_rule(3, 6))
 
     def test_symmetric_batch_equal_to_single_calls(self):
         n, rule = 3, disc_rule(3, 6)
         spec = KernelSpec("tilde", n)
         functions = [lambda pts: hs_family(n, 0.5, pts), lambda pts: np.sum(pts, axis=1) ** 2]
         z = interior_points(5, 3, n)
-        got = apply_operator(spec, stack_of(functions), z, rule, n, symmetric_f=True)
+        got = apply_operator(spec, stack_of(functions), z, rule, symmetric_f=True)
         want = np.array(
-            [[apply_operator(spec, f, point, rule, n, symmetric_f=True) for f in functions] for point in z]
+            [[apply_operator(spec, f, point, rule, symmetric_f=True) for f in functions] for point in z]
         )
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -147,7 +147,7 @@ class TestApplyOperatorBatch:
         z[1, 0] = 1.0 / np.conj(rule.nodes[0])
         functions = stack_of([monomial((1, 0), False), monomial((0, 1), False)])
         with pytest.raises(PoleProximity):
-            apply_operator(KernelSpec("t1", 2), functions, z, rule, 2)
+            apply_operator(KernelSpec("t1", 2), functions, z, rule)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_infinite_value_in_any_function_raises(self, bad):
@@ -159,7 +159,7 @@ class TestApplyOperatorBatch:
             return out
 
         with pytest.raises(OverflowInIntegrand), np.errstate(invalid="ignore"):
-            apply_operator(KernelSpec("t2", 2), functions, interior_points(2, 2, 2), rule, 2)
+            apply_operator(KernelSpec("t2", 2), functions, interior_points(2, 2, 2), rule)
 
 
 class TestIntegrateBatch:

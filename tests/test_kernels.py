@@ -22,18 +22,14 @@ from bergproj.kernels import (
     apply_D_operator,
     apply_operator,
     bergman_disc,
-    bergman_polydisc,
     bergman_symmetrized,
-    kernel_Pl,
-    kernel_T1,
-    kernel_T2,
-    kernel_tildeT,
     q_polynomial,
     tildeT2_closed_form,
     tilde_shape,
 )
 from bergproj.kernels import test_function_hs as hs_family
 from bergproj.quadrature import disc_rule, singular_disc_rule
+from bergproj.symbolic import KERNEL_TABLE, rational_kernel
 from bergproj.symmetrization import elementary_symmetric, jacobian_phi
 
 
@@ -74,8 +70,8 @@ class TestDecomposition:
         rng = np.random.default_rng(11 + n)
         z = random_interior(rng, 1, n)[0]
         wbar = random_interior(rng, 40, n)
-        total = kernel_T1(n, z, wbar) + kernel_T2(n, z, wbar)
-        full = bergman_polydisc(n, z, wbar)
+        total = KernelSpec("t1", n).evaluate(z, wbar) + KernelSpec("t2", n).evaluate(z, wbar)
+        full = KernelSpec("bergman_polydisc", n).evaluate(z, wbar)
         assert np.allclose(total, full, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -83,16 +79,16 @@ class TestDecomposition:
         rng = np.random.default_rng(23 + n)
         z = random_interior(rng, 1, n)[0]
         wbar = random_interior(rng, 25, n)
-        assert np.allclose(kernel_Pl(n, 1, z, wbar), kernel_T2(n, z, wbar), rtol=1e-13)
-        assert np.allclose(
-            kernel_Pl(n, n, z, wbar), bergman_polydisc(n, z, wbar), rtol=1e-13
-        )
+        t2 = KernelSpec("t2", n).evaluate(z, wbar)
+        full = KernelSpec("bergman_polydisc", n).evaluate(z, wbar)
+        assert np.allclose(KernelSpec("pl", n, l=1).evaluate(z, wbar), t2, rtol=1e-13)
+        assert np.allclose(KernelSpec("pl", n, l=n).evaluate(z, wbar), full, rtol=1e-13)
 
     def test_interpolating_family_index_bounds(self):
         with pytest.raises(ValueError):
-            kernel_Pl(3, 0, (0.1, 0.2, 0.3), np.zeros((1, 3)))
+            KernelSpec("pl", 3, l=0).evaluate((0.1, 0.2, 0.3), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            kernel_Pl(3, 4, (0.1, 0.2, 0.3), np.zeros((1, 3)))
+            KernelSpec("pl", 3, l=4).evaluate((0.1, 0.2, 0.3), np.zeros((1, 3)))
 
     def test_two_variable_annihilating_part_factors(self):
         # for n = 2 the cross product minus the Vandermonde product
@@ -107,11 +103,11 @@ class TestDecomposition:
             * (1 - z[1] * wbar[:, 0])
             * (1 - z[1] * wbar[:, 1])
         )
-        assert np.allclose(kernel_T1(2, z, wbar), expected, rtol=1e-13)
+        assert np.allclose(KernelSpec("t1", 2).evaluate(z, wbar), expected, rtol=1e-13)
 
     def test_pole_guard_on_cross_factor(self):
         with pytest.raises(PoleProximity):
-            kernel_T1(2, (0.5, 0.1), np.array([[0.3, 2.0]]))
+            KernelSpec("t1", 2).evaluate((0.5, 0.1), np.array([[0.3, 2.0]]))
 
     @given(
         st.lists(
@@ -124,11 +120,11 @@ class TestDecomposition:
     def test_decomposition_property(self, values):
         z = np.array(values[:2])
         wbar = np.array(values[2:])[None, :]
-        total = kernel_T1(2, z, wbar) + kernel_T2(2, z, wbar)
-        assert np.allclose(total, bergman_polydisc(2, z, wbar), rtol=1e-11)
+        total = KernelSpec("t1", 2).evaluate(z, wbar) + KernelSpec("t2", 2).evaluate(z, wbar)
+        assert np.allclose(total, KernelSpec("bergman_polydisc", 2).evaluate(z, wbar), rtol=1e-11)
 
     def test_single_row_returns_scalar(self):
-        value = kernel_T2(2, (0.1, 0.2), np.array([0.3, 0.1j]))
+        value = KernelSpec("t2", 2).evaluate((0.1, 0.2), np.array([0.3, 0.1j]))
         assert np.ndim(value) == 0
 
 
@@ -231,10 +227,10 @@ class TestConjugateVandermondeTransport:
         z = random_interior(rng, 1, n)[0]
         w = random_interior(rng, 30, n)
         wbar = np.conj(w)
-        left = kernel_T2(n, z, wbar) * np.conj(
+        left = KernelSpec("t2", n).evaluate(z, wbar) * np.conj(
             np.array([vandermonde(row) for row in w])
         )
-        right = vandermonde(z) * kernel_tildeT(n, z, wbar)
+        right = vandermonde(z) * KernelSpec("tilde", n).evaluate(z, wbar)
         assert np.allclose(left, right, rtol=1e-12)
 
     def test_operator_level_transport(self):
@@ -244,15 +240,15 @@ class TestConjugateVandermondeTransport:
         rule = disc_rule(10, 12)
         f = lambda pts: hs_family(2, s, pts)
         f_weighted = lambda pts: f(pts) * np.conj(pts[:, 0] - pts[:, 1])
-        left = apply_operator(KernelSpec("t2", 2), f_weighted, z, rule, 2)
-        right = vandermonde(z) * apply_operator(KernelSpec("tilde", 2), f, z, rule, 2)
+        left = apply_operator(KernelSpec("t2", 2), f_weighted, z, rule)
+        right = vandermonde(z) * apply_operator(KernelSpec("tilde", 2), f, z, rule)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_closed_form_matches_quadrature(self):
         s, z = 0.7, (0.2, -0.3 + 0.1j)
         rule = singular_disc_rule(s, 12, 16)
         f = lambda pts: hs_family(2, s, pts)
-        quad = apply_operator(KernelSpec("tilde", 2), f, z, rule, 2, symmetric_f=True)
+        quad = apply_operator(KernelSpec("tilde", 2), f, z, rule, symmetric_f=True)
         assert quad / math.pi == pytest.approx(tildeT2_closed_form(s, z), rel=1e-8)
 
     def test_symmetrized_and_full_paths_agree(self):
@@ -260,8 +256,8 @@ class TestConjugateVandermondeTransport:
         rule = singular_disc_rule(s, 12, 16)
         f = lambda pts: hs_family(2, s, pts)
         spec = KernelSpec("tilde", 2)
-        a = apply_operator(spec, f, z, rule, 2, symmetric_f=True)
-        b = apply_operator(spec, f, z, rule, 2, symmetric_f=False)
+        a = apply_operator(spec, f, z, rule, symmetric_f=True)
+        b = apply_operator(spec, f, z, rule, symmetric_f=False)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_shape_model_reduces_to_closed_form(self):
@@ -313,7 +309,7 @@ class TestConjugateVandermondeTransport:
         z = (0.2, -0.1, 0.15j)
         rule = singular_disc_rule(0.7, 8, 16)
         f = lambda pts: hs_family(3, 0.7, pts)
-        quad = apply_operator(KernelSpec("tilde", 3), f, z, rule, 3, symmetric_f=True)
+        quad = apply_operator(KernelSpec("tilde", 3), f, z, rule, symmetric_f=True)
         assert quad == pytest.approx(exact, rel=1e-4)
 
     def test_three_variable_shape_constant(self):
@@ -409,8 +405,51 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec("mystery", 2).evaluate((0.1, 0.2), np.zeros((1, 2)))
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize(
+        "family, n, l",
+        [
+            ("mystery", 2, None),
+            ("pl", 3, None),
+            ("pl", 3, 0),
+            ("pl", 3, 4),
+            ("pl", 3, 1.5),
+            ("t1", 3, 2),
+            ("tilde", 2, 1),
+        ],
+    )
+    def test_bad_fields_rejected_when_built(self, family, n, l):
         with pytest.raises(ValueError):
-            apply_operator(
-                KernelSpec("t2", 2), lambda pts: 1.0, (0.1, 0.2), disc_rule(4, 4), 3
-            )
+            KernelSpec(family, n, l=l)
+
+    @pytest.mark.parametrize(
+        "z, wbar",
+        [
+            ((0.1,), np.zeros((1, 2))),
+            ((0.1, 0.2, 0.3), np.zeros((1, 2))),
+            ((0.1, 0.2), np.zeros(3)),
+        ],
+    )
+    def test_point_of_wrong_length_rejected(self, z, wbar):
+        with pytest.raises(ValueError):
+            KernelSpec("t2", 2).evaluate(z, wbar)
+
+
+class TestNumericAgainstExact:
+    """Every family of the kernel table through two kinds of arithmetic:
+    ``KernelSpec.evaluate`` in floats against pi^(-n) times the exact
+    ``rational_kernel``, evaluated at the same points in complex floats."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_family_and_level(self, n):
+        rng = np.random.default_rng(97 + n)
+        z = random_interior(rng, 1, n)[0]
+        wbar = random_interior(rng, 4, n)
+        specs = [KernelSpec(family, n) for family in KERNEL_TABLE if family != "pl"]
+        specs += [KernelSpec("pl", n, l=l) for l in range(1, n + 1)]
+        for spec in specs:
+            exact = rational_kernel(spec.family, n, spec.l)
+            want = np.array(
+                [exact.eval(tuple(complex(x) for x in (*z, *row))) for row in wbar]
+            ) / math.pi**n
+            got = spec.evaluate(z, wbar)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), spec

@@ -25,19 +25,12 @@ from bergproj.symbolic import (
     geometric_series,
     mul_truncate_block,
     permute_block,
-    pl_numerator,
-    pl_kernel,
     rational_equal,
+    rational_kernel,
     swap_block_variables,
     symmetric_pair_product,
-    t1_kernel,
-    t1_numerator,
     t1_series_w_antisymmetrization,
-    t2_kernel,
-    t2_numerator,
-    tilde_t_numerator,
     truncate_block_degree,
-    bergman_polydisc_kernel,
     vandermonde_pair_product,
     verify_ab_identity,
     verify_kernel_decomposition,
@@ -173,7 +166,7 @@ class TestBlockOperations:
 class TestKernelBuilders:
     def test_t2_numerator_two_vars(self):
         # (z0 - z1)(w0 - w1), four monomials with unit coefficients
-        f = t2_numerator(2)
+        f = rational_kernel("t2", 2).num
         z0, z1 = MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)
         w0, w1 = MultiPoly.variable(4, 2), MultiPoly.variable(4, 3)
         assert f == (z0 - z1) * (w0 - w1)
@@ -192,15 +185,15 @@ class TestKernelBuilders:
 
     def test_pl_interpolates_between_parts(self):
         for n in (2, 3):
-            assert pl_numerator(n, 1) == t2_numerator(n)
-            assert pl_numerator(n, n) == symmetric_pair_product(n)
+            assert rational_kernel("pl", n, 1).num == rational_kernel("t2", n).num
+            assert rational_kernel("pl", n, n).num == symmetric_pair_product(n)
 
     def test_pl_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            pl_numerator(3, 4)
+            rational_kernel("pl", 3, 4)
 
     def test_tilde_numerator_vanishes_on_diagonal(self):
-        f = tilde_t_numerator(2)
+        f = rational_kernel("tilde", 2).num
         assert f.eval((0.3, 0.1, 0.7j, 0.7j)) == 0
 
     def test_cached_products_equal_fresh_builds_after_suite(self):
@@ -271,15 +264,17 @@ class TestSeriesAnnihilation:
         assert t1_series_w_antisymmetrization(n, order).is_zero()
 
     def test_antisymmetric_part_is_nonzero_control(self):
-        out = t1_series_w_antisymmetrization(2, 4, numerator=t2_numerator(2))
+        out = t1_series_w_antisymmetrization(2, 4, numerator=rational_kernel("t2", 2).num)
         assert not out.is_zero()
 
 
 class TestRationalLayer:
     def test_parts_sum_to_bergman(self):
         for n in (2, 3):
-            total = t1_kernel(n) + t2_kernel(n)
-            assert rational_equal(total, bergman_polydisc_kernel(n))
+            total = rational_kernel("t1", n) + rational_kernel("t2", n)
+            product = RationalFn(MultiPoly.constant(2 * n, 1), diagonal_denominator(n), n)
+            assert rational_equal(total, product)
+            assert rational_equal(rational_kernel("bergman_polydisc", n), product)
 
     def test_eval_matches_closed_form(self):
         z = (0.2 + 0.1j, -0.3j)
@@ -290,7 +285,7 @@ class TestRationalLayer:
             for ww in w:
                 den *= 1 - zz * ww
         extra = (1 - z[0] * w[0]) * (1 - z[1] * w[1])
-        got = t2_kernel(2).eval(point)
+        got = rational_kernel("t2", 2).eval(point)
         expected = (z[0] - z[1]) * (w[0] - w[1]) / (den * extra)
         assert got == pytest.approx(expected)
 
@@ -299,7 +294,9 @@ class TestRationalLayer:
         # variables is invariant under transposing the first two variables,
         # separately in each block
         diff = RationalFn(
-            pl_numerator(3, 2) - pl_numerator(3, 1), full_denominator(3), 3
+            rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num,
+            full_denominator(3),
+            3,
         )
         for block in ("z", "w"):
             assert rational_equal(diff, swap_block_variables(diff, 0, 1, block))
@@ -308,13 +305,15 @@ class TestRationalLayer:
         # the same difference is NOT invariant under transposing the first
         # and last variables, so the previous test cannot pass vacuously
         diff = RationalFn(
-            pl_numerator(3, 2) - pl_numerator(3, 1), full_denominator(3), 3
+            rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num,
+            full_denominator(3),
+            3,
         )
         assert not rational_equal(diff, swap_block_variables(diff, 0, 2, "w"))
 
     def test_pl_kernel_eval_at_point(self):
         point = (0.1, 0.2j, -0.3, 0.05 - 0.1j, 0.25, 0.4j)
-        f = pl_kernel(3, 2)
+        f = rational_kernel("pl", 3, 2)
         assert f.eval(point) == pytest.approx(
             f.num.eval(point) / f.den.eval(point)
         )
