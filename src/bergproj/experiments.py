@@ -1,6 +1,7 @@
 """Experiment drivers: the norm-ratio blow-up at the critical exponent,
 the boundedness scan inside the regular range, the exact-identity suite,
-and the annihilation check for the symmetric kernel part.
+the annihilation check for the symmetric kernel part, the growth-integral
+classification and the weight-class table of the Bekolle-Bonami constant.
 
 Every driver returns an :class:`ExperimentReport` whose JSON form is
 schema-versioned and reproducible (same inputs and seed give the same
@@ -15,13 +16,20 @@ import csv
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 
 import numpy as np
 
 from . import symbolic
-from .errors import OverflowInIntegrand, QuadratureNotConverged
+from .errors import AmbiguousFit, NonIntegrable, OverflowInIntegrand, QuadratureNotConverged
+from .estimates import (
+    CLASSIFICATION_SAMPLES,
+    bb_norm_bound,
+    bekolle_bonami_estimate,
+    classify_forelli_rudin,
+)
 from .kernels import (
     KernelSpec,
     apply_operator,
@@ -66,7 +74,14 @@ REPORT_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {
-            "enum": ["blowup", "scan", "identities", "annihilation"]
+            "enum": [
+                "blowup",
+                "scan",
+                "identities",
+                "annihilation",
+                "forelli-rudin",
+                "bekolle-bonami",
+            ]
         },
         "n": {"type": ["integer", "null"]},
         "p": {"type": ["number", "null"]},
@@ -112,15 +127,15 @@ class ExperimentReport:
     """Schema-versioned result of one experiment run."""
 
     experiment: str
-    n: int | None
-    p: float | None
-    s_grid: list | None
     rows: list
-    fit: dict | None
     quadrature: dict
-    seed: int | None
     wall_time_s: float
     passed: bool
+    n: int | None = None
+    p: float | None = None
+    s_grid: list | None = None
+    fit: dict | None = None
+    seed: int | None = None
     notes: list = field(default_factory=list)
     schema_version: str = SCHEMA_VERSION
 
@@ -451,10 +466,8 @@ def boundedness_scan(n, p_list, s_grid=None, rule=None, seed=0) -> ExperimentRep
     return ExperimentReport(
         experiment="scan",
         n=n,
-        p=None,
         s_grid=list(s_grid),
         rows=rows,
-        fit=None,
         quadrature=_quadrature_descriptor(orders, factors, residual),
         seed=seed,
         wall_time_s=time.time() - start,
@@ -514,10 +527,7 @@ def identity_suite(max_n, negative_controls=False, seed=0) -> ExperimentReport:
     return ExperimentReport(
         experiment="identities",
         n=max_n,
-        p=None,
-        s_grid=None,
         rows=rows,
-        fit=None,
         quadrature={"family": "exact-rational"},
         seed=seed,
         wall_time_s=time.time() - start,
@@ -632,10 +642,7 @@ def annihilation_check(
     return ExperimentReport(
         experiment="annihilation",
         n=n,
-        p=None,
-        s_grid=None,
         rows=rows,
-        fit=None,
         quadrature={
             "base": dict(rule.descriptor),
             "refinement_factors": [1.5, 1.5],
@@ -645,4 +652,115 @@ def annihilation_check(
         wall_time_s=time.time() - start,
         passed=all_passed,
         notes=["alternating inputs must be annihilated; the control must not be"],
+    )
+
+
+def growth_class_check(eps, s_exp, samples=None) -> ExperimentReport:
+    """Growth class of the Forelli-Rudin integral against the three-case
+    theory: Bounded for s_exp > 0, Log at s_exp = 0, Power below.
+
+    ``samples`` are the radii of the fit (``CLASSIFICATION_SAMPLES`` by
+    default); each row holds the integral at one of them.  An ambiguous
+    fit gives a failed report with no fit and the reason in its notes.
+    """
+    start = time.time()
+    radii = CLASSIFICATION_SAMPLES if samples is None else samples
+    radii = tuple(float(r) for r in radii)
+    try:
+        outcome = classify_forelli_rudin(eps, s_exp, samples=radii)
+    except AmbiguousFit as exc:
+        rows, fit, notes = [], None, [f"ambiguous: {exc}"]
+    else:
+        rows = [{"r": r, "value": value} for r, value in zip(radii, outcome.values)]
+        fit = {
+            "label": outcome.label,
+            "fitted_exponent": outcome.fitted_exponent,
+            "residuals": outcome.residuals,
+            "matches_theory": outcome.matches_theory,
+        }
+        notes = ["the label is the model with the smallest relative residual"]
+    return ExperimentReport(
+        experiment="forelli-rudin",
+        rows=rows,
+        fit=fit,
+        quadrature={"family": "growth-adapted", "eps": float(eps), "s_exp": float(s_exp)},
+        wall_time_s=time.time() - start,
+        passed=fit is not None and fit["matches_theory"],
+        notes=notes,
+    )
+
+
+def _leaves_weight_class(points, p):
+    """Whether the weight prod_a |w - a|^(2-p) leaves the class at p.
+
+    Near a point a of the closed disc that occurs c times, the weight is
+    of the order |w - a|^e with e = c(2-p), and its dual power
+    u^(-1/(p-1)) of the order |w - a|^(-e/(p-1)).  A power of |w - a| is
+    integrable near a, on a disc or a half disc, exactly when its exponent
+    exceeds -2.  Points outside the closed disc keep both bounded on it.
+    """
+    for a, count in Counter(points).items():
+        if abs(a) <= 1.0:
+            e = count * (2.0 - p)
+            worst = min(e, -e / (p - 1.0))
+            if worst < -2.0 or math.isclose(worst, -2.0):
+                return True
+    return False
+
+
+def weight_class_check(weight, p_list, points) -> ExperimentReport:
+    """Bekolle-Bonami constant of prod_a |w - a|^(2-p) at each p, with a
+    verdict: the estimate is divergent exactly where the weight leaves the
+    class by the exponent count of :func:`_leaves_weight_class`.
+
+    ``weight`` names the family: ``up`` takes one reference point, ``vp``
+    several.  For one point the weight stays in the class for p in
+    (4/3, 4).
+    """
+    start = time.time()
+    if weight not in ("up", "vp"):
+        raise ValueError(f"unknown weight family {weight!r}")
+    points = [complex(a) for a in points]
+    if weight == "up" and len(points) != 1:
+        raise ValueError(f"the weight up takes one reference point, not {len(points)}")
+    p_list = [float(p) for p in p_list]
+    if not p_list or any(p <= 1.0 for p in p_list):
+        raise ValueError("the p list must be non-empty and every p must exceed 1")
+
+    rows = []
+    for p in p_list:
+        try:
+            estimate = bekolle_bonami_estimate(WeightSpec.point_product(points, 2.0 - p), p)
+            norm_bound, reason = bb_norm_bound(estimate, p), None
+        except NonIntegrable as exc:
+            estimate, norm_bound, reason = None, None, str(exc)
+        expected = _leaves_weight_class(points, p)
+        rows.append(
+            {
+                "p": p,
+                "estimate": estimate,
+                "norm_bound": norm_bound,
+                "divergent": estimate is None,
+                "reason": reason,
+                "expected_divergent": expected,
+                "consistent": (estimate is None) == expected,
+            }
+        )
+
+    return ExperimentReport(
+        experiment="bekolle-bonami",
+        rows=rows,
+        quadrature={
+            "family": "carleson-tent",
+            "weight": weight,
+            "points": [[a.real, a.imag] for a in points],
+        },
+        wall_time_s=time.time() - start,
+        passed=all(row["consistent"] for row in rows),
+        notes=[
+            "divergent means a weight power moved by more than 50% under"
+            " refinement (NonIntegrable)",
+            "a point of the closed disc occurring c times makes the weight"
+            " leave the class where c(p-2) >= 2 or c(2-p) >= 2(p-1)",
+        ],
     )

@@ -45,6 +45,11 @@ TWO_PI = 2.0 * math.pi
 #: worst and far below quadrature error for exponents above -1.9
 INNER_CUTOFF = 1e-13
 
+#: a polar rule puts at least this many Gauss-Legendre nodes on each
+#: radial panel, and at least this many nodes on each full ring
+MIN_PANEL_NODES = 4
+MIN_RING_NODES = 8
+
 
 @dataclass
 class QuadratureRule:
@@ -167,6 +172,14 @@ def _panel_nodes(a, b, order, sqrt_left, sqrt_right):
     return _gauss_legendre(order, a, b)
 
 
+def _panel_order(radial_order):
+    return max(MIN_PANEL_NODES, int(radial_order))
+
+
+def _full_ring_order(angular_order):
+    return max(MIN_RING_NODES, 2 * int(angular_order))
+
+
 def _radial_panels(center_dist, radial_order, inner_cutoff):
     """Radial panel scheme for a polar rule about a point at distance d.
 
@@ -201,7 +214,7 @@ def _radial_panels(center_dist, radial_order, inner_cutoff):
             edges = np.geomspace(inner_hi, rho_max, count + 1)
             for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
                 panels.append((a, b, i == 0, i == count - 1))
-    per_panel = max(4, int(radial_order))
+    per_panel = _panel_order(radial_order)
     rho, rho_w = [], []
     for a, b, s_left, s_right in panels:
         x, w = _panel_nodes(a, b, per_panel, s_left, s_right)
@@ -239,7 +252,7 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     full = gamma >= 1.0
     arc = ~full & (gamma > -1.0)
     # full rings: a uniform midpoint grid beats GL on circles
-    m_full = max(8, 2 * m)
+    m_full = _full_ring_order(m)
     full_phi = beta + TWO_PI * (np.arange(m_full) + 0.5) / m_full
     full_pw = np.full(m_full, TWO_PI / m_full)
     half = np.array([math.pi - math.acos(g) for g in gamma[arc]])
@@ -285,13 +298,29 @@ def singular_disc_rule(s, radial_order, angular_order) -> QuadratureRule:
 
 
 def refine(rule: QuadratureRule, radial_factor=2.0, angular_factor=2.0) -> QuadratureRule:
-    """Rebuild a rule with scaled orders (for convergence deltas)."""
+    """Rebuild a rule with scaled orders (for convergence deltas).
+
+    A polar rule whose orders sit below the node floors can scale them
+    without gaining a node per panel or per full ring; its delta would
+    compare the rule with itself, so that raises ValueError.
+    """
     d = rule.descriptor
     radial = max(int(d["radial_order"] * radial_factor), d["radial_order"] + 1)
     angular = max(int(d["angular_order"] * angular_factor), d["angular_order"] + 1)
     if d["family"] == "disc":
         return disc_rule(radial, angular, cluster=d["cluster"], boost=d["boost"])
     if d["family"] == "polar":
+        has_full_rings = abs(d["center"]) < 1.0
+        if _panel_order(radial) <= _panel_order(d["radial_order"]) or (
+            has_full_rings
+            and _full_ring_order(angular) <= _full_ring_order(d["angular_order"])
+        ):
+            raise ValueError(
+                f"refining polar orders ({d['radial_order']}, {d['angular_order']})"
+                f" to ({radial}, {angular}) adds no node per radial panel"
+                f" (at least {MIN_PANEL_NODES}) or per full ring"
+                f" (at least {MIN_RING_NODES})"
+            )
         return polar_rule_at(d["center"], radial, angular, d["inner_cutoff"])
     raise ValueError(f"unknown rule family {d['family']!r}")
 

@@ -194,12 +194,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def block_degree(self, start, length):
-        return max((sum(e[start : start + length]) for e in self.terms), default=0)
-
     def eval(self, point):
         """Evaluate at a sequence of numbers (complex allowed)."""
         total = 0j if any(isinstance(p, complex) for p in point) else 0

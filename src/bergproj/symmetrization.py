@@ -34,10 +34,6 @@ class PolyDiscPoint:
     def n(self) -> int:
         return len(self.coords)
 
-    def in_polydisc(self, margin: float = 0.0) -> bool:
-        """True when every coordinate has modulus < 1 - margin."""
-        return all(abs(c) < 1.0 - margin for c in self.coords)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=complex)
 

@@ -13,7 +13,7 @@ import bergproj.estimates as estimates
 import bergproj.experiments as experiments
 from bergproj.cli import main
 from bergproj.estimates import classify_forelli_rudin, forelli_rudin
-from bergproj.errors import OverflowInIntegrand, PoleProximity
+from bergproj.errors import NonIntegrable, OverflowInIntegrand, PoleProximity
 from bergproj.experiments import REPORT_SCHEMA
 
 
@@ -124,8 +124,8 @@ class TestForelliRudinCommand:
         assert code == 0
         assert "Power" in capsys.readouterr().out
         payload = read_json(out)
-        assert payload["label"] == "Power"
-        assert payload["matches_theory"] is True
+        assert payload["fit"]["label"] == "Power"
+        assert payload["fit"]["matches_theory"] is True
 
     def test_ambiguous_fit_exits_2(self, capsys):
         code = main(
@@ -143,8 +143,8 @@ class TestForelliRudinCommand:
         )
         assert code == 0
         payload = read_json(out)
-        assert len(payload["values"]) == 4
-        assert payload["values"][0]["value"] > 0
+        assert len(payload["rows"]) == 4
+        assert payload["rows"][0]["value"] > 0
 
     def test_values_are_the_classification_samples(self, tmp_path, monkeypatch):
         grid = (0.9, 0.99, 0.999, 0.9999)
@@ -163,7 +163,7 @@ class TestForelliRudinCommand:
              "--grid", ",".join(map(str, grid)), "--out", str(out)]
         )
         assert code == 0
-        values = read_json(out)["values"]
+        values = read_json(out)["rows"]
         assert [row["r"] for row in values] == list(grid)
         assert [row["value"] for row in values] == list(outcome.values)
         assert len(calls) == len(grid)
@@ -212,6 +212,104 @@ class TestAnnihilationCommand:
         payload = read_json(out)
         jsonschema.validate(payload, REPORT_SCHEMA)
         assert payload["passed"] is True
+
+
+class TestWeightClassVerdict:
+    def test_one_point_table_with_divergent_ends_passes(self, capsys):
+        code = main(
+            ["bekolle-bonami", "--weight", "up", "--points", "0.5",
+             "--p-list", "1.3,1.5,2,3,3.5,3.8,3.9,3.95,4.0"]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "p=1.3: divergent (expected divergent)" in printed
+        assert "p=4.0: divergent (expected divergent)" in printed
+
+    def test_two_point_table_passes(self):
+        code = main(
+            ["bekolle-bonami", "--weight", "vp", "--points", "0.3,0.3+0.02j",
+             "--p-list", "1.6,2,2.5,2.9"]
+        )
+        assert code == 0
+
+    def test_row_against_the_range_exits_2(self, tmp_path, monkeypatch, capsys):
+        def diverging(weight, p):
+            raise NonIntegrable("forced")
+
+        monkeypatch.setattr(experiments, "bekolle_bonami_estimate", diverging)
+        out = tmp_path / "bb.json"
+        code = main(
+            ["bekolle-bonami", "--weight", "up", "--p-list", "2,4.5",
+             "--points", "0.5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "p=2.0: divergent (expected finite)" in capsys.readouterr().out
+        rows = read_json(out)["rows"]
+        assert [row["consistent"] for row in rows] == [False, True]
+
+
+class TestEmptyListFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bekolle-bonami", "--weight", "up", "--p-list", ",", "--points", "0.5"],
+            ["bekolle-bonami", "--weight", "up", "--p-list", "2", "--points", " , "],
+            ["forelli-rudin", "--eps", "0", "--s-exp", "0.5", "--grid", ","],
+            ["blowup", "--n", "2", "--p", "4", "--s", ","],
+            ["scan", "--n", "2", "--p-list", ",", "--s", "0.7,0.9"],
+        ],
+        ids=["p-list", "points", "grid", "s", "scan-p-list"],
+    )
+    def test_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "no value" in capsys.readouterr().err
+
+
+def test_rule_orders_below_the_floors_exit_2(capsys):
+    # radial 3 refines to 4, and both use the floor of 4 nodes per panel
+    code = main(
+        ["blowup", "--n", "2", "--p", "4", "--s", "0.9,0.99",
+         "--radial", "3", "--angular", "16"]
+    )
+    assert code == 2
+    assert "adds no node per radial panel" in capsys.readouterr().err
+
+
+#: small inputs of every command; the last one's fit is ambiguous
+EVERY_COMMAND = {
+    "identities": ["identities", "--max-n", "2", "--negative-controls"],
+    "blowup": ["blowup", "--n", "2", "--p", "4", "--s", "0.7,0.9"],
+    "scan": ["scan", "--n", "2", "--p-list", "2,4", "--s", "0.7,0.9"],
+    "forelli-rudin": ["forelli-rudin", "--eps", "0", "--s-exp", "-0.5"],
+    "bekolle-bonami": ["bekolle-bonami", "--weight", "up", "--p-list", "2,4.5",
+                       "--points", "0.5"],
+    "annihilation": ["annihilation", "--n", "2"],
+    "forelli-rudin-ambiguous": ["forelli-rudin", "--eps", "0", "--s-exp", "-0.01",
+                                "--grid", "0.3,0.4,0.5"],
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_COMMAND))
+def test_every_command_writes_a_reproducible_report(name, tmp_path, capsys):
+    argv = EVERY_COMMAND[name]
+    payloads = []
+    for run in (1, 2):
+        out = tmp_path / f"run{run}.json"
+        code = main(argv + ["--out", str(out)])
+        payload = read_json(out)
+        jsonschema.validate(payload, REPORT_SCHEMA)
+        assert payload["experiment"] == argv[0]
+        assert code == (0 if payload["passed"] else 2)
+        payload.pop("wall_time_s")
+        payloads.append(json.dumps(payload, sort_keys=True, indent=2))
+    assert payloads[0] == payloads[1]
+    assert payload["passed"] is not name.endswith("ambiguous")
+    if name.endswith("ambiguous"):
+        assert payload["fit"] is None
+        assert payload["notes"][0].startswith("ambiguous: ")
+        assert "ambiguous" in capsys.readouterr().out
 
 
 class TestParser:

@@ -6,25 +6,31 @@ fraction of the cost.
 """
 
 import csv
+import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from bergproj.errors import QuadratureNotConverged
+from bergproj.estimates import CLASSIFICATION_SAMPLES
 from bergproj.experiments import (
     DEFAULT_ANNIHILATION_RULE_ORDERS,
     REPORT_SCHEMA,
     SCHEMA_VERSION,
     _alternating_monomial,
     _fit_line,
+    _leaves_weight_class,
     _vandermonde_function,
     annihilation_check,
     blowup_experiment,
     boundedness_scan,
     default_annihilation_samples,
+    growth_class_check,
     identity_suite,
+    weight_class_check,
     write_ratio_csv,
 )
 from bergproj.kernels import KernelSpec
@@ -239,6 +245,115 @@ class TestAnnihilationCheck:
     def test_dimension_precondition(self):
         with pytest.raises(ValueError):
             annihilation_check(4)
+
+
+class TestGrowthClassCheck:
+    def test_report_of_the_default_grid(self):
+        report = growth_class_check(0.0, -0.5)
+        check_schema(report)
+        assert report.passed
+        assert report.fit["label"] == "Power"
+        assert report.fit["matches_theory"] is True
+        assert set(report.fit["residuals"]) == {"Bounded", "Log", "Power"}
+        assert [row["r"] for row in report.rows] == list(CLASSIFICATION_SAMPLES)
+        assert report.quadrature["eps"] == 0.0
+        assert report.quadrature["s_exp"] == -0.5
+
+    def test_ambiguous_fit_is_a_failed_report(self):
+        report = growth_class_check(0.0, -0.01, samples=(0.3, 0.4, 0.5))
+        check_schema(report)
+        assert report.passed is False
+        assert report.fit is None
+        assert report.rows == []
+        assert report.notes[0].startswith("ambiguous: growth models are not separated")
+
+
+#: the weight-constant groups of the benchmark reference, by reference
+#: points: [(p, expected record)] in increasing p
+_REFERENCE = Path(__file__).resolve().parent.parent / "bergbench" / "reference.json"
+
+
+def reference_weight_tables():
+    tables = {}
+    for key, group in json.loads(_REFERENCE.read_text())["weights"].items():
+        if key.startswith("bb points="):
+            label, p = key[len("bb points="):].split(" p=")
+            points = tuple(complex(tok) for tok in label.split(","))
+            tables.setdefault(points, []).append((float(p), group["estimate"]))
+    return {points: sorted(rows) for points, rows in tables.items()}
+
+
+class TestWeightClassCheck:
+    @pytest.mark.parametrize("points, rows", sorted(reference_weight_tables().items(), key=str))
+    def test_reference_tables(self, points, rows):
+        weight = "up" if len(points) == 1 else "vp"
+        report = weight_class_check(weight, [p for p, _ in rows], points)
+        check_schema(report)
+        assert report.passed
+        assert report.quadrature["points"] == [[a.real, a.imag] for a in points]
+        for row, (p, expected) in zip(report.rows, rows):
+            assert row["p"] == p
+            divergent = expected["verdicts"]["outcome"] == "NonIntegrable"
+            assert row["divergent"] is row["expected_divergent"] is divergent
+            if divergent:
+                assert row["estimate"] is None and row["reason"]
+            else:
+                # bit for bit
+                assert row["estimate"] == expected["numbers"]["estimate"]
+                assert row["norm_bound"] == expected["numbers"]["norm_bound"]
+
+    def test_both_tables_are_present(self):
+        tables = reference_weight_tables()
+        assert len(tables) == 2
+        one_point = [p for p, _ in tables[(0.5 + 0j,)]]
+        assert (one_point[0], one_point[-1]) == (1.3, 4.0)
+
+    def test_coincident_points(self):
+        p_list = [1.5, 1.6, 2.0, 2.9, 3.0, 3.5]
+        report = weight_class_check("vp", p_list, [0.3, 0.3])
+        assert report.passed
+        assert [row["divergent"] for row in report.rows] == [
+            True, False, False, False, True, True
+        ]
+
+    def test_inputs_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            weight_class_check("up", [], [0.5])
+        with pytest.raises(ValueError, match="exceed 1"):
+            weight_class_check("up", [2.0, 1.0], [0.5])
+        with pytest.raises(ValueError, match="one reference point"):
+            weight_class_check("up", [2.0], [0.3, 0.4])
+        with pytest.raises(ValueError, match="unknown weight family"):
+            weight_class_check("wp", [2.0], [0.3])
+
+
+class TestWeightClassRange:
+    """The exponent count: c coincident points of the closed disc make the
+    weight leave the class where c(p-2) >= 2 or c(2-p) >= 2(p-1)."""
+
+    @pytest.mark.parametrize(
+        "points, p, leaves",
+        [
+            ((0.5,), 1.3, True),
+            ((0.5,), 4.0 / 3.0, True),
+            ((0.5,), 1.34, False),
+            ((0.5,), 3.99, False),
+            ((0.5,), 4.0, True),
+            ((0.5,), 4.5, True),
+            ((-0.2j,), 1.2, True),
+            ((1.5,), 1.2, False),
+            ((1.5,), 4.5, False),
+            ((0.3, 0.3), 1.5, True),
+            ((0.3, 0.3), 1.51, False),
+            ((0.3, 0.3), 2.99, False),
+            ((0.3, 0.3), 3.0, True),
+            ((0.3, 0.3 + 0.02j), 2.9, False),
+            ((0.3, 0.3 + 0.02j, 0.3), 3.0, True),
+            ((1.5, 1.5, 1.5), 3.5, False),
+        ],
+    )
+    def test_range(self, points, p, leaves):
+        assert _leaves_weight_class([complex(a) for a in points], p) is leaves
 
 
 class TestHelpers:

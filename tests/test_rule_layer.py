@@ -36,7 +36,16 @@ from bergproj.estimates import (
     default_apex_grid,
     tent_rule,
 )
-from bergproj.quadrature import WeightSpec, disc_rule, legendre_nodes, polar_rule_at
+from bergproj.experiments import REFINE_FACTORS
+from bergproj.quadrature import (
+    MIN_PANEL_NODES,
+    MIN_RING_NODES,
+    WeightSpec,
+    disc_rule,
+    legendre_nodes,
+    polar_rule_at,
+    refine,
+)
 import oracles
 
 ORDERS = st.integers(min_value=2, max_value=16)
@@ -227,3 +236,50 @@ class TestEstimateOracle:
         with pytest.raises(NonIntegrable) as old:
             oracles.bekolle_bonami_estimate(weight, 4.0)
         assert str(new.value) == str(old.value)
+
+
+def ring_count(rule):
+    return len(np.unique(rule.aux["center_distance"]))
+
+
+def innermost_ring_nodes(rule):
+    dist = rule.aux["center_distance"]
+    return int(np.sum(dist == dist.min()))
+
+
+class TestRefineAddsNodes:
+    """A refined polar rule has more nodes on each radial panel and on each
+    full ring than its base, or ``refine`` refuses it; it refuses only
+    below a floor.  Centres inside the disc start with full rings."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        centers(),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from(sorted(REFINE_FACTORS.values())),
+    )
+    def test_richer_or_refused(self, center, radial, angular, factors):
+        base = polar_rule_at(center, radial, angular)
+        has_full_rings = abs(center) < 1.0
+        try:
+            fine = refine(base, *factors)
+        except ValueError:
+            assert radial < MIN_PANEL_NODES or (
+                has_full_rings and 2 * angular < MIN_RING_NODES
+            )
+            return
+        # the panels are fixed by the centre, so more rings means more
+        # nodes per panel
+        assert ring_count(fine) > ring_count(base)
+        if has_full_rings:
+            assert innermost_ring_nodes(fine) > innermost_ring_nodes(base)
+
+    def test_floored_orders_refused(self):
+        with pytest.raises(ValueError, match="adds no node"):
+            refine(polar_rule_at(1.0 / 0.9, 3, 16), 1.5, 1.5)
+        with pytest.raises(ValueError, match="adds no node"):
+            refine(polar_rule_at(0.5, 8, 3), 1.4, 1.4)
+        # outside the disc every ring is an arc, whose nodes do grow
+        fine = refine(polar_rule_at(1.0 / 0.9, 8, 3), 1.4, 1.4)
+        assert fine.descriptor["angular_order"] == 4

@@ -238,8 +238,9 @@ class TestFusedScanErrors:
     def test_first_convergence_failure_matches_per_p_runs(self):
         # with this coarse rule p = 6 converges, p = 8 fails at the second
         # s and p = 16 already at the first; the first failure in p order
-        # is p = 8's, as separate runs would report it
-        kwargs = {"s_grid": (0.7, 0.9), "rule": (2, 2)}
+        # is p = 8's, as separate runs would report it.  Radial order 4
+        # is the lowest whose refinement adds nodes to every panel.
+        kwargs = {"s_grid": (0.7, 0.9), "rule": (4, 3)}
         p_list = [6.0, 8.0, 16.0]
         messages = []
         for p in p_list:
