@@ -205,3 +205,7 @@ def main(argv=None) -> int:
     except BergprojError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return PACKAGE_ERROR
+
+
+if __name__ == "__main__":
+    sys.exit(main())

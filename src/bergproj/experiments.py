@@ -18,6 +18,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -34,8 +35,8 @@ from .kernels import (
     KernelSpec,
     apply_operator,
     family_factors,
-    shape_from_factors,
-    symmetric_top,
+    shape_from_sums,
+    symmetric_top_from_sums,
     test_function_hs,
     tilde_shape,
 )
@@ -211,7 +212,9 @@ def _calibrate_image_constant(n, orders):
     The image of the blow-up family under the symmetric-side operator is
     an exact constant multiple of :func:`tilde_shape`; the constant is
     measured (never assumed) here, and its consistency across evaluation
-    points is the convergence check for the rest of the run.
+    points is the convergence check for the rest of the run.  Both points
+    go through one operator call, so each chunk of the rule is evaluated
+    by the family once.
     """
     rule = singular_disc_rule(CALIBRATION_S, orders[0] + 1, orders[1] + 2)
     spec = KernelSpec(family="tilde", n=n)
@@ -219,11 +222,12 @@ def _calibrate_image_constant(n, orders):
     def family(pts):
         return test_function_hs(n, CALIBRATION_S, pts)
 
-    ratios = []
-    for z in CALIBRATION_POINTS[n]:
-        z = np.asarray(z)
-        image = apply_operator(spec, family, z, rule, symmetric_f=True)
-        ratios.append(image / complex(tilde_shape(n, CALIBRATION_S, z)))
+    points = np.asarray(CALIBRATION_POINTS[n])
+    images = apply_operator(spec, family, points, rule, symmetric_f=True)
+    ratios = [
+        complex(image) / complex(tilde_shape(n, CALIBRATION_S, z))
+        for image, z in zip(images, points)
+    ]
     constant = sum(ratios) / len(ratios)
     residual = max(abs(r - constant) for r in ratios) / abs(constant)
     if residual > MAX_CALIBRATION_RESIDUAL:
@@ -234,41 +238,80 @@ def _calibrate_image_constant(n, orders):
     return constant, residual
 
 
+def _pair_sums(n, factors, j, k):
+    """The values of the last two indices that the family and its image
+    start from, at index pairs (j, k): g_j + g_k, g_j g_k, r_j + r_k,
+    r_j r_k and c_j c_k for the factors (g, r, c) of :func:`family_factors`,
+    one at a time.  At n = 2 there is no prefix, and the two products are
+    None."""
+    g, r, c = factors
+    for x in (g, r):
+        xj, xk = x.take(j), x.take(k)
+        yield xj + xk
+        yield xj * xk if n > 2 else None
+    yield c.take(j) * c.take(k)
+
+
+def _prefix_weight(rows, prefix, j, k):
+    """The pair weights that a block's prefix adds to its pairs (j, k),
+    from the rows of :meth:`PairTable.block_views`, multiplied in the order
+    WeightSpec.evaluate multiplies them."""
+    factors = []
+    for a, row in enumerate(rows):
+        factors += [row[later] for later in prefix[a + 1 :]]
+        factors += [row.take(j), row.take(k)]
+    return math.prod(factors)
+
+
 def _norm_sums(n, s, rule, p_list, constant):
     """Weighted L^p sums of h_s and of its image at every p, in one pass.
 
     These are the sums whose p-th roots :func:`weighted_lp_norm` returns,
     against the squared-Vandermonde weight over the symmetric blocks of
-    ``rule``, here evaluated from per-node factor tables and one pair table
-    with the same products and the same summation tree.  Blocks are
-    evaluated ``BLOCK_CHUNK`` tuples at a time, which keeps their
-    temporaries small, and each sum runs once over its whole block.
-    Returns ``{"h": [...], "image": [...]}`` with one entry per p: the sum,
-    or the :class:`OverflowInIntegrand` its integrand raised.
+    ``rule``, here evaluated from per-node factor tables and pair tables
+    with the same products and the same summation tree.  The weight of
+    each node pair is tabulated once per rule.  At n >= 3 every block
+    reads the pairs (j, k) at or above its prefix, so the pair sums of
+    :func:`_pair_sums` are tabulated once per rule too and each block
+    reads them as contiguous slices; at n = 2 the one block computes them
+    part by part.  Blocks are evaluated ``BLOCK_CHUNK`` tuples at a time,
+    which keeps their temporaries small, and each sum runs once over its
+    whole block.  Returns ``{"h": [...], "image": [...]}`` with one entry
+    per p: the sum, or the :class:`OverflowInIntegrand` its integrand
+    raised.
     """
-    g, r, c = family_factors(n, s, rule.nodes)
-    pairs = PairTable(rule.nodes, JACOBIAN_SQUARED.evaluate)
+    factors = family_factors(n, s, rule.nodes)
+    nodes = rule.nodes
+
+    def pair_weight(j, k):
+        yield JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
+
+    pairs = PairTable(rule.size, pair_weight)
+    sums = PairTable(rule.size, partial(_pair_sums, n, factors)) if n > 2 else None
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
     for prefix, j, k, tensor_weight in symmetric_blocks(rule.weights, n):
-        own, rows = pairs.block_views(prefix)
+        (own,), rows = pairs.block_views(prefix)
+        tails = sums.block_views(prefix)[0] if sums else None
+        g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
         weight = np.empty(len(j)) if prefix else own
         values = {"h": np.empty(len(j)), "image": np.empty(len(j))}
         parts = chunk_slices(len(j), BLOCK_CHUNK)
         for part in parts:
             jp, kp = j[part], k[part]
             if prefix:
-                # pair factors in the order WeightSpec.evaluate multiplies them
-                factors = []
-                for a, row in enumerate(rows):
-                    factors += [row[later] for later in prefix[a + 1 :]]
-                    factors += [row[jp], row[kp]]
-                weight[part] = math.prod(factors) * own[part]
-            h = symmetric_top([g[i] for i in prefix], g[jp], g[kp])
-            values["h"][part] = np.abs(h)
-            r_cols = [r[i] for i in prefix] + [r[jp], r[kp]]
-            c_cols = [c[i] for i in prefix] + [c[jp], c[kp]]
-            image = constant * shape_from_factors(s, r_cols, c_cols)
-            values["image"][part] = np.abs(image)
+                weight[part] = _prefix_weight(rows, prefix, jp, kp) * own[part]
+            if tails:
+                g_sum, g_prod, r_sum, r_prod, c_prod = (tail[part] for tail in tails)
+            else:
+                g_sum, g_prod, r_sum, r_prod, c_prod = _pair_sums(n, factors, jp, kp)
+            # each value is taken in modulus in the expression that makes it,
+            # so that no complex temporary outlives its part; numpy then
+            # reuses the shape's temporary for the product with the
+            # constant, as it always has
+            values["h"][part] = np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod))
+            values["image"][part] = np.abs(
+                constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
+            )
         summands = np.empty(len(j))
         for kind, absolute in values.items():
             for index, p in enumerate(p_list):

@@ -38,8 +38,8 @@ def _as_rows(wbar, n):
     return rows, wbar.ndim == 1
 
 
-def _guard(values, what):
-    small = np.min(np.abs(values))
+def _guard(small, what):
+    """Refuse a denominator factor whose smallest modulus is ``small``."""
     if small < POLE_GUARD:
         raise PoleProximity(f"{what} within {small:.2e} of a kernel singularity")
 
@@ -47,7 +47,7 @@ def _guard(values, what):
 def bergman_disc(z, wbar):
     """Bergman kernel of the unit disc, 1 / (pi (1 - z wbar)^2)."""
     factor = 1.0 - np.asarray(z, complex) * np.asarray(wbar, complex)
-    _guard(np.atleast_1d(factor), "disc kernel")
+    _guard(np.min(np.abs(factor)), "disc kernel")
     return 1.0 / (math.pi * factor * factor)
 
 
@@ -94,15 +94,21 @@ def symmetric_top(prefix, y, z):
     """(n-1)! e_{n-1}(x_1, ..., x_{n-2}, y, z): the sum over all orderings of
     the n variables of the product of the first n - 1.
 
-    ``prefix`` holds x_1, ..., x_{n-2} (scalars or arrays).  Adding a
-    variable x to a set of m maps its top two elementary symmetric values
-    (e_{m-1}, e_m) to (e_m + x e_{m-1}, x e_m); the set starts as the last
-    two variables, with e_1 = y + z and e_2 = y z.
+    ``prefix`` holds x_1, ..., x_{n-2} (scalars or arrays).
     """
-    low = y + z
+    return symmetric_top_from_sums(prefix, y + z, y * z if prefix else None)
+
+
+def symmetric_top_from_sums(prefix, low, top):
+    """:func:`symmetric_top` from the elementary symmetric values of its last
+    two variables, ``low`` = y + z and ``top`` = y z (unused without a
+    prefix), so that a caller can build them once for many prefixes.
+
+    Adding a variable x to a set of m maps its top two elementary symmetric
+    values (e_{m-1}, e_m) to (e_m + x e_{m-1}, x e_m).
+    """
     if not prefix:
         return low
-    top = y * z
     for x in prefix[:0:-1]:
         low, top = top + x * low, x * top
     return math.factorial(len(prefix) + 1) * (top + prefix[0] * low)
@@ -145,14 +151,17 @@ def tildeT2_closed_form(s, z):
     return a + b
 
 
-def shape_from_factors(s, r, c):
-    """:func:`tilde_shape` from the factors r and c of :func:`family_factors`,
-    one entry per coordinate: s^(n(n-1)) (n-1)! e_{n-1}(r) / prod c."""
-    n = len(r)
-    denom = c[-2] * c[-1]
-    for x in c[:-2]:
+def shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod):
+    """:func:`tilde_shape` from the factors r and c of :func:`family_factors`:
+    s^(n(n-1)) (n-1)! e_{n-1}(r) / prod c.  The prefixes hold the factors of
+    the first n - 2 coordinates; the last two enter through r_j + r_k,
+    r_j r_k (unused at n = 2) and c_j c_k, as in
+    :func:`symmetric_top_from_sums`."""
+    n = len(r_prefix) + 2
+    denom = c_prod
+    for x in c_prefix:
         denom = x * denom
-    return s ** (n * (n - 1)) * symmetric_top(r[:-2], r[-2], r[-1]) / denom
+    return s ** (n * (n - 1)) * symmetric_top_from_sums(r_prefix, r_sum, r_prod) / denom
 
 
 def tilde_shape(n, s, pts):
@@ -164,7 +173,9 @@ def tilde_shape(n, s, pts):
     """
     pts, single = _as_rows(pts, n)
     _, r, c = family_factors(n, s, pts)
-    out = shape_from_factors(s, list(r.T), list(c.T))
+    r, c = list(r.T), list(c.T)
+    r_prod = r[-2] * r[-1] if n > 2 else None
+    out = shape_from_sums(s, r[:-2], c[:-2], r[-2] + r[-1], r_prod, c[-2] * c[-1])
     return out[0] if single else out
 
 
@@ -237,51 +248,67 @@ def apply_D_operator(coeffs, q):
     return [q(m + 1) * c for m, c in enumerate(coeffs)]
 
 
-def _shared_denominator(z, wbar):
-    """(cross, diag): the products over j < k of (1 - z_k wbar_j)(1 - z_j wbar_k)
-    and over j of (1 - z_j wbar_j)^2, whose product is the shared denominator."""
+def _denominator_factors(z, wbar):
+    """The n^2 factors 1 - z_a wbar_b, as ``factor[a][b]``, each checked
+    against the pole guard in the order the unpermuted kernel meets them:
+    the diagonal factor of j, then the cross factors of (j, k) for k > j.
+
+    They share one buffer: as n^2 separate arrays they made the allocator
+    hand the heap back and fault it in again on every call, about 200
+    page faults per call at 4,369 rows, which doubled the time of an
+    unsymmetrized evaluation.
+    """
     n = len(z)
-    cross = np.ones(len(wbar), dtype=complex)
-    diag = np.ones(len(wbar), dtype=complex)
+    factor = np.empty((n, n, len(wbar)), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            np.subtract(1.0, z[a] * wbar[:, b], out=factor[a, b])
+    nearest = np.min(np.abs(factor), axis=-1)
     for j in range(n):
-        factor = 1.0 - z[j] * wbar[:, j]
-        _guard(factor, "diagonal factor")
-        diag *= factor * factor
+        _guard(nearest[j, j], "diagonal factor")
         for k in range(j + 1, n):
-            f1 = 1.0 - z[k] * wbar[:, j]
-            f2 = 1.0 - z[j] * wbar[:, k]
-            _guard(f1, "cross factor")
-            _guard(f2, "cross factor")
-            cross *= f1 * f2
-    return cross, diag
+            _guard(nearest[k, j], "cross factor")
+            _guard(nearest[j, k], "cross factor")
+    return factor
 
 
-def _pair_factor(name, z, wbar, j, k):
-    """The factor a term of the kernel table takes at the pair (j, k)."""
-    if name == "symmetric":
-        return (1.0 - z[k] * wbar[:, j]) * (1.0 - z[j] * wbar[:, k])
-    if name == "vandermonde":
-        return (z[j] - z[k]) * (wbar[:, j] - wbar[:, k])
-    diff = wbar[:, j] - wbar[:, k]
-    return diff * diff
+def _permuted_kernel(terms, z, tau, factor, diffs):
+    """The signed term sum over the shared denominator with the columns of
+    wbar permuted by ``tau``, from the factors and differences of the
+    unpermuted columns, multiplied as on a permuted copy of wbar.
 
-
-def _term_sum(terms, z, wbar, cross):
-    """The signed sum of the terms; a term whose every pair is symmetric
-    is the denominator's ``cross`` product itself."""
+    The denominator is cross * diag, the products over j < k of
+    (1 - z_k wbar_j)(1 - z_j wbar_k) and over j of (1 - z_j wbar_j)^2; a
+    term whose every pair is symmetric is ``cross`` itself.
+    """
+    n = len(z)
+    size = len(factor[0][0])
+    cross = np.ones(size, dtype=complex)
+    diag = np.ones(size, dtype=complex)
+    for j in range(n):
+        f = factor[j][tau[j]]
+        diag *= f * f
+        for k in range(j + 1, n):
+            cross *= factor[k][tau[j]] * factor[j][tau[k]]
     num = None
-    for sign, factors in terms:
-        if all(name == "symmetric" for name in factors):
+    for sign, names in terms:
+        if all(name == "symmetric" for name in names):
             term = cross
         else:
-            term = np.ones(len(wbar), dtype=complex)
-            for (j, k), name in zip(combinations(range(len(z)), 2), factors):
-                term *= _pair_factor(name, z, wbar, j, k)
+            term = np.ones(size, dtype=complex)
+            for (j, k), name in zip(combinations(range(n), 2), names):
+                if name == "symmetric":
+                    term *= factor[k][tau[j]] * factor[j][tau[k]]
+                elif name == "vandermonde":
+                    term *= (z[j] - z[k]) * diffs[tau[j], tau[k]]
+                else:
+                    diff = diffs[tau[j], tau[k]]
+                    term *= diff * diff
         if num is None:
             num = term if sign > 0 else -term
         else:
             num = num + term if sign > 0 else num - term
-    return num
+    return num / (math.pi**n * cross * diag)
 
 
 @dataclass(frozen=True)
@@ -303,21 +330,37 @@ class KernelSpec:
     def __post_init__(self):
         kernel_terms(self.family, self.n, self.l)
 
-    def evaluate(self, z, wbar):
+    def evaluate(self, z, wbar, *, symmetrize=False):
         """The kernel at one point z (n coordinates) and one row or an
-        (m, n) array of rows wbar."""
+        (m, n) array of rows wbar.
+
+        With ``symmetrize=True`` it is the mean of the kernel over the n!
+        permutations of the columns of wbar, each taken in modulus first
+        when ``positive``.  The n^2 factors 1 - z_a wbar_b and the pair
+        differences wbar_a - wbar_b are built once for all permutations,
+        and each permutation multiplies them in the order an evaluation on
+        permuted columns would, so the mean equals the mean of n! separate
+        evaluations bit for bit.  A factor within ``POLE_GUARD`` of zero
+        raises :class:`PoleProximity`, as the unpermuted kernel would.
+        """
         n = self.n
         wbar, single = _as_rows(wbar, n)
         z = np.asarray(z, dtype=complex)
         if z.shape != (n,):
             raise ValueError(f"z must have {n} coordinates, got shape {z.shape}")
-        # each loop runs in its own function, so that its pair temporaries
-        # are freed before the next one starts
-        cross, diag = _shared_denominator(z, wbar)
-        num = _term_sum(kernel_terms(self.family, n, self.l), z, wbar, cross)
-        out = num / (math.pi**n * cross * diag)
-        if self.positive:
-            out = np.abs(out)
+        perms = list(permutations(range(n))) if symmetrize else [tuple(range(n))]
+        factor = _denominator_factors(z, wbar)
+        pairs = {(tau[j], tau[k]) for tau in perms for j, k in combinations(range(n), 2)}
+        diffs = {(a, b): wbar[:, a] - wbar[:, b] for a, b in pairs}
+        terms = kernel_terms(self.family, n, self.l)
+        out = None
+        for tau in perms:
+            value = _permuted_kernel(terms, z, tau, factor, diffs)
+            if self.positive:
+                value = np.abs(value)
+            out = value if out is None else out + value
+        if symmetrize:
+            out = out / len(perms)
         return out[0] if single else out
 
 
@@ -338,7 +381,10 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     coordinate permutations.  The kernel is then replaced by its average
     over permutations of the integration coordinates -- which leaves the
     integral unchanged for symmetric f -- and the symmetric tensor
-    reduction of the rule is used, cutting the node count by n!.
+    reduction of the rule is used, cutting the node count by n!.  The
+    average is one ``KernelSpec.evaluate(..., symmetrize=True)`` call per
+    point of ``z`` and chunk, which builds the kernel's factors once for
+    all n! permutations.
     """
     n = spec.n
     z = np.asarray(z)
@@ -348,23 +394,11 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     probe = np.asarray(f(np.full((1, n), rule.nodes[0])))
     chunk = max(1, INTEGRAND_CHUNK // (len(points) * math.prod(probe.shape[:-1])))
 
-    if symmetric_f:
-        perms = list(permutations(range(n)))
-
-        def kernel(point, wbar):
-            ker = spec.evaluate(point, wbar[:, perms[0]])
-            for tau in perms[1:]:
-                ker = ker + spec.evaluate(point, wbar[:, tau])
-            return ker / len(perms)
-
-    else:
-        kernel = spec.evaluate
-
     def integrand(pts):
         wbar = np.conj(pts)
         if z.ndim == 1:
-            return kernel(z, wbar) * np.asarray(f(pts))
-        ker = np.stack([kernel(point, wbar) for point in points])
+            return spec.evaluate(z, wbar, symmetrize=symmetric_f) * np.asarray(f(pts))
+        ker = np.stack([spec.evaluate(point, wbar, symmetrize=symmetric_f) for point in points])
         values = np.asarray(f(pts))
         return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
 

@@ -18,7 +18,7 @@ in chunks.  For integrands symmetric under coordinate permutations the sum
 runs over sorted index n-tuples only, each with its multiset multiplicity
 n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
 prefix of the first n - 2 indices, covering the upper triangle of the last
-two.  A ``PairTable`` holds a function of two nodes for every pair of a
+two.  A ``PairTable`` holds functions of two nodes for every pair of a
 rule, built once and read block by block without gathering.
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
@@ -348,6 +348,26 @@ def _triangle_start(size, row):
     return row * size - row * (row - 1) // 2
 
 
+def triangle_indices(size):
+    """``np.triu_indices(size)`` as int32 arrays, built without int64
+    temporaries: the row j and column k of every pair j <= k, row by row.
+
+    Gather with them through ``take``: indexing converts int32 indices to
+    intp first, which made a gather about three times slower.
+    """
+    total = _triangle_start(size, size)
+    if total > np.iinfo(np.int32).max:
+        raise ValueError(f"{size} nodes have too many pairs for int32 indices")
+    # per-row values stay int64: start(j) - j fits int32, j (size - 1) may not
+    rows = np.arange(size)
+    counts = size - rows
+    j = np.repeat(rows.astype(np.int32), counts)
+    # the pair at offset t of row j has column t - (start(j) - j)
+    k = np.arange(total, dtype=np.int32)
+    k -= np.repeat((rows * (size - 1) - rows * (rows - 1) // 2).astype(np.int32), counts)
+    return j, k
+
+
 def chunk_slices(length, chunk):
     """Slices covering range(length) in near-equal parts of at most ``chunk``.
 
@@ -379,7 +399,7 @@ def symmetric_blocks(weights, n):
         raise ValueError("symmetric blocks need n >= 2")
     weights = np.asarray(weights)
     size = len(weights)
-    j_all, k_all = np.triu_indices(size)
+    j_all, k_all = triangle_indices(size)
     fact = [math.factorial(c) for c in range(n + 1)]
     for prefix in combinations_with_replacement(range(size), n - 2):
         low = prefix[-1] if prefix else 0
@@ -396,36 +416,44 @@ def symmetric_blocks(weights, n):
         mult[0] = fact[n] / (others * fact[at_low + 2])
         prefix_weight = math.prod(weights[i] for i in prefix)
         for part in chunk_slices(len(j), BLOCK_CHUNK):
-            mult[part] *= prefix_weight * weights[j[part]] * weights[k[part]]
+            mult[part] *= prefix_weight * weights.take(j[part]) * weights.take(k[part])
         yield prefix, j, k, mult
 
 
 class PairTable:
-    """A real function of two nodes, tabulated once per rule at every node
-    pair j <= k and read for each block of :func:`symmetric_blocks`.
+    """Functions of two nodes, tabulated once per rule at every node pair
+    j <= k and read for each block of :func:`symmetric_blocks`.
 
-    ``f`` maps an (m, 2) complex array of node pairs to an (m,) array.
+    ``f`` maps two int32 index arrays j and k of equal length to an
+    iterable of arrays of values at those pairs; it is called on parts of
+    at most ``BLOCK_CHUNK`` pairs, each array is stored as soon as it is
+    yielded, and ``values`` holds one packed table per array, in
+    ``np.triu_indices(size)`` order.
     """
 
-    def __init__(self, nodes, f):
-        nodes = np.asarray(nodes)
-        self.size = len(nodes)
-        j, k = np.triu_indices(self.size)
-        self.values = np.empty(len(j))
+    def __init__(self, size, f):
+        self.size = size
+        j, k = triangle_indices(size)
+        self.values = []
         for part in chunk_slices(len(j), BLOCK_CHUNK):
-            self.values[part] = f(np.stack([nodes[j[part]], nodes[k[part]]], axis=1))
+            for index, value in enumerate(f(j[part], k[part])):
+                if index == len(self.values):
+                    self.values.append(np.empty(len(j), dtype=value.dtype))
+                self.values[index][part] = value
 
     def block_views(self, prefix):
-        """Views of the table for the symmetric block of ``prefix``.
+        """Views of the tables for the symmetric block of ``prefix``.
 
-        Returns ``(own, rows)``: ``own`` holds the block's pairs (j, k),
-        aligned with its ``j`` and ``k``; ``rows`` holds, for each prefix
-        index i, the table's pairs (i, column) indexed by the column, valid
-        at columns >= i (every later prefix index, and every j and k).
+        Returns ``(own, rows)``: ``own`` holds, per table, the block's
+        pairs (j, k), aligned with its ``j`` and ``k``; ``rows`` holds, for
+        each prefix index i, the first table's pairs (i, column) indexed by
+        the column, valid at columns >= i (every later prefix index, and
+        every j and k).
         """
-        rows = [self.values[_triangle_start(self.size, i) - i :] for i in prefix]
-        low = prefix[-1] if prefix else 0
-        return self.values[_triangle_start(self.size, low) :], rows
+        first = self.values[0]
+        rows = [first[_triangle_start(self.size, i) - i :] for i in prefix]
+        start = _triangle_start(self.size, prefix[-1] if prefix else 0)
+        return [table[start:] for table in self.values], rows
 
 
 def _batch_total(acc):
@@ -461,7 +489,7 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
             parts = []
             for part in chunk_slices(len(j), chunk):
                 columns = [np.full(len(j[part]), nodes[i]) for i in prefix]
-                pts = np.stack(columns + [nodes[j[part]], nodes[k[part]]], axis=1)
+                pts = np.stack(columns + [nodes.take(j[part]), nodes.take(k[part])], axis=1)
                 parts.append(np.asarray(f(pts)))
             vals = np.concatenate(parts, axis=-1)
             _check_finite(vals, f"symmetric n={n}, prefix={prefix}")

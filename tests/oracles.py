@@ -14,27 +14,43 @@ them, and the tests hold the new paths to them bit for bit:
 * the full-tensor ``apply_operator`` for one sample point and one
   function, which evaluated the kernel again for every function and
   every point, in chunks of 2^18 tensor points; one point and one
-  function must match it bit for bit, batches to 1e-13 of their scale.
+  function must match it bit for bit, batches to 1e-13 of their scale;
+* ``KernelSpec.evaluate`` as it was before it built the n^2 denominator
+  factors once, and the permutation loop of ``apply_operator``, which
+  averaged n! such evaluations on permuted columns, each rebuilding the
+  factors; ``evaluate`` must match both bit for bit;
+* the fused norm pass ``_norm_sums`` as it was before the pair sums of
+  the last two indices were tabulated once per rule, when every block
+  gathered the factors of its pairs and multiplied them anew; the new
+  pass must match it bit for bit.
 """
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 
-from bergproj.errors import NonIntegrable, OverflowInIntegrand
+from bergproj.errors import NonIntegrable, OverflowInIntegrand, PoleProximity
+from bergproj.experiments import JACOBIAN_SQUARED
 from bergproj.estimates import (
     INTEGRABILITY_CUTOFFS,
     TentRegion,
     default_apex_grid,
     tent_average,
 )
+from bergproj.kernels import POLE_GUARD, _as_rows, family_factors
 from bergproj.quadrature import (
+    BLOCK_CHUNK,
     INNER_CUTOFF,
     TWO_PI,
     QuadratureRule,
     _check_finite,
     _radial_panels,
+    _triangle_start,
+    chunk_slices,
+    symmetric_blocks,
 )
+from bergproj.symbolic import kernel_terms
 
 
 def _integrate_symmetric_2(f, nodes, weights):
@@ -179,3 +195,142 @@ def apply_operator(spec, f, z, rule, n, chunk=1 << 18):
         _check_finite(vals, f"chunk at {start}")
         acc += np.sum(w * vals)
     return complex(acc)
+
+
+def _guard(values, what):
+    small = np.min(np.abs(values))
+    if small < POLE_GUARD:
+        raise PoleProximity(f"{what} within {small:.2e} of a kernel singularity")
+
+
+def _shared_denominator(z, wbar):
+    n = len(z)
+    cross = np.ones(len(wbar), dtype=complex)
+    diag = np.ones(len(wbar), dtype=complex)
+    for j in range(n):
+        factor = 1.0 - z[j] * wbar[:, j]
+        _guard(factor, "diagonal factor")
+        diag *= factor * factor
+        for k in range(j + 1, n):
+            f1 = 1.0 - z[k] * wbar[:, j]
+            f2 = 1.0 - z[j] * wbar[:, k]
+            _guard(f1, "cross factor")
+            _guard(f2, "cross factor")
+            cross *= f1 * f2
+    return cross, diag
+
+
+def _pair_factor(name, z, wbar, j, k):
+    if name == "symmetric":
+        return (1.0 - z[k] * wbar[:, j]) * (1.0 - z[j] * wbar[:, k])
+    if name == "vandermonde":
+        return (z[j] - z[k]) * (wbar[:, j] - wbar[:, k])
+    diff = wbar[:, j] - wbar[:, k]
+    return diff * diff
+
+
+def _term_sum(terms, z, wbar, cross):
+    num = None
+    for sign, factors in terms:
+        if all(name == "symmetric" for name in factors):
+            term = cross
+        else:
+            term = np.ones(len(wbar), dtype=complex)
+            for (j, k), name in zip(combinations(range(len(z)), 2), factors):
+                term *= _pair_factor(name, z, wbar, j, k)
+        if num is None:
+            num = term if sign > 0 else -term
+        else:
+            num = num + term if sign > 0 else num - term
+    return num
+
+
+def kernel_evaluate(spec, z, wbar):
+    n = spec.n
+    wbar, single = _as_rows(wbar, n)
+    z = np.asarray(z, dtype=complex)
+    cross, diag = _shared_denominator(z, wbar)
+    num = _term_sum(kernel_terms(spec.family, n, spec.l), z, wbar, cross)
+    out = num / (math.pi**n * cross * diag)
+    if spec.positive:
+        out = np.abs(out)
+    return out[0] if single else out
+
+
+def symmetrized_kernel(spec, z, wbar, evaluate=kernel_evaluate):
+    """The mean of ``evaluate`` over the n! column permutations of wbar,
+    summed in ``permutations`` order and divided once."""
+    perms = list(permutations(range(spec.n)))
+    ker = evaluate(spec, z, wbar[:, perms[0]])
+    for tau in perms[1:]:
+        ker = ker + evaluate(spec, z, wbar[:, tau])
+    return ker / len(perms)
+
+
+def _symmetric_top(prefix, y, z):
+    low = y + z
+    if not prefix:
+        return low
+    top = y * z
+    for x in prefix[:0:-1]:
+        low, top = top + x * low, x * top
+    return math.factorial(len(prefix) + 1) * (top + prefix[0] * low)
+
+
+def _shape_from_factors(s, r, c):
+    n = len(r)
+    denom = c[-2] * c[-1]
+    for x in c[:-2]:
+        denom = x * denom
+    return s ** (n * (n - 1)) * _symmetric_top(r[:-2], r[-2], r[-1]) / denom
+
+
+def norm_sums(n, s, rule, p_list, constant):
+    """The fused norm pass, gathering and multiplying the factors of every
+    pair (j, k) anew in each block."""
+    g, r, c = family_factors(n, s, rule.nodes)
+    nodes = np.asarray(rule.nodes)
+    size = len(nodes)
+    j_all, k_all = np.triu_indices(size)
+    table = np.empty(len(j_all))
+    for part in chunk_slices(len(j_all), BLOCK_CHUNK):
+        pairs = np.stack([nodes[j_all[part]], nodes[k_all[part]]], axis=1)
+        table[part] = JACOBIAN_SQUARED.evaluate(pairs)
+    del j_all, k_all
+    out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
+    for prefix, j, k, tensor_weight in symmetric_blocks(rule.weights, n):
+        rows = [table[_triangle_start(size, i) - i :] for i in prefix]
+        own = table[_triangle_start(size, prefix[-1] if prefix else 0) :]
+        weight = np.empty(len(j)) if prefix else own
+        values = {"h": np.empty(len(j)), "image": np.empty(len(j))}
+        parts = chunk_slices(len(j), BLOCK_CHUNK)
+        for part in parts:
+            jp, kp = j[part], k[part]
+            if prefix:
+                factors = []
+                for a, row in enumerate(rows):
+                    factors += [row[later] for later in prefix[a + 1 :]]
+                    factors += [row[jp], row[kp]]
+                weight[part] = math.prod(factors) * own[part]
+            h = _symmetric_top([g[i] for i in prefix], g[jp], g[kp])
+            values["h"][part] = np.abs(h)
+            r_cols = [r[i] for i in prefix] + [r[jp], r[kp]]
+            c_cols = [c[i] for i in prefix] + [c[jp], c[kp]]
+            image = constant * _shape_from_factors(s, r_cols, c_cols)
+            values["image"][part] = np.abs(image)
+        summands = np.empty(len(j))
+        for kind, absolute in values.items():
+            for index, p in enumerate(p_list):
+                if isinstance(out[kind][index], Exception):
+                    continue
+                try:
+                    for part in parts:
+                        integrand = absolute[part] ** p * weight[part]
+                        where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                        _check_finite(integrand, where)
+                        np.multiply(tensor_weight[part], integrand, out=summands[part])
+                except OverflowInIntegrand as exc:
+                    out[kind][index] = exc
+                    continue
+                out[kind][index] += np.sum(summands)
+    return out

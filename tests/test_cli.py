@@ -4,6 +4,10 @@ input, 3 quadrature not converged, 4 any other package error)."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -321,3 +325,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["bekolle-bonami", "--weight", "wp", "--p-list", "2",
                   "--points", "0"])
+
+
+class TestModuleEntryPoint:
+    """``python -m bergproj.cli`` runs a command as the console script does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--max-n", "2"],
+            ["bekolle-bonami", "--weight", "up", "--p-list", "2.5", "--points", "1"],
+            ["blowup", "--n", "2", "--p", "0.5"],
+        ],
+        ids=["passes", "centre-on-circle", "invalid-exponent"],
+    )
+    def test_exit_code_and_output_match_main(self, argv, capsys):
+        expected = main(argv)
+        printed = capsys.readouterr()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "bergproj.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == expected
+        assert (done.stdout, done.stderr) == (printed.out, printed.err)

@@ -242,6 +242,15 @@ def ring_count(rule):
     return len(np.unique(rule.aux["center_distance"]))
 
 
+def disc_radii_and_angles(rule):
+    """The counts of distinct radii and of angles per ring of a disc rule,
+    whose nodes are a radius-major product grid."""
+    radii = np.sort(np.abs(rule.nodes))
+    radial = 1 + int(np.count_nonzero(np.diff(radii) > 1e-12))
+    assert rule.size % radial == 0
+    return radial, rule.size // radial
+
+
 def innermost_ring_nodes(rule):
     dist = rule.aux["center_distance"]
     return int(np.sum(dist == dist.min()))
@@ -283,3 +292,34 @@ class TestRefineAddsNodes:
         # outside the disc every ring is an arc, whose nodes do grow
         fine = refine(polar_rule_at(1.0 / 0.9, 8, 3), 1.4, 1.4)
         assert fine.descriptor["angular_order"] == 4
+
+
+class TestRefineDiscAddsNodes:
+    """A refined disc rule has strictly more radii and strictly more nodes
+    per ring than its base, plain, graded or with a boosted sector."""
+
+    KWARGS = [
+        {},
+        {"cluster": 2},
+        {"cluster": 3},
+        {"boost": (8, math.pi / 8)},
+        {"boost": (4, 0.5)},
+        {"cluster": 2, "boost": (3, 1.0)},
+    ]
+    FACTORS = sorted(REFINE_FACTORS.values()) + [(1.1, 1.1), (1.5, 1.5), (2.0, 2.0)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(KWARGS),
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=20),
+        st.sampled_from(FACTORS),
+    )
+    def test_strictly_richer(self, kwargs, radial, angular, factors):
+        base = disc_rule(radial, angular, **kwargs)
+        fine = refine(base, *factors)
+        base_radii, base_angles = disc_radii_and_angles(base)
+        fine_radii, fine_angles = disc_radii_and_angles(fine)
+        assert base_radii == radial
+        assert fine_radii > base_radii
+        assert fine_angles > base_angles

@@ -1,0 +1,209 @@
+"""Quantities computed once and shared, against the code that computed
+them again each time (``oracles.py``), bit for bit:
+
+* ``KernelSpec.evaluate`` builds the n^2 denominator factors and the pair
+  differences once; with ``symmetrize=True`` it averages the n! column
+  permutations from them, where ``apply_operator`` used to evaluate the
+  kernel once per permuted copy of the points;
+* ``_norm_sums`` tabulates the pair sums of the last two indices once per
+  rule at n >= 3, where every block used to gather and multiply them;
+* ``triangle_indices`` builds the packed triangle that both
+  ``symmetric_blocks`` and ``PairTable`` read, as int32.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bergproj.experiments as experiments
+from bergproj.errors import PoleProximity
+from bergproj.experiments import (
+    DEFAULT_NORM_ORDERS,
+    _calibrate_image_constant,
+    _norm_sums,
+)
+from bergproj.kernels import KernelSpec
+from bergproj.quadrature import (
+    BLOCK_CHUNK,
+    chunk_slices,
+    singular_disc_rule,
+    triangle_indices,
+)
+from bergproj.symbolic import KERNEL_TABLE
+from oracles import kernel_evaluate, norm_sums, symmetrized_kernel
+
+
+def kernel_specs(n):
+    specs = []
+    for family in KERNEL_TABLE:
+        levels = range(1, n + 1) if family == "pl" else [None]
+        for l in levels:
+            for positive in (False, True):
+                specs.append(KernelSpec(family, n, l=l, positive=positive))
+    return specs
+
+
+def random_points(rng, count, n, radius=0.9):
+    r = radius * np.sqrt(rng.random((count, n)))
+    return r * np.exp(2j * np.pi * rng.random((count, n)))
+
+
+@st.composite
+def spec_and_points(draw):
+    n = draw(st.sampled_from([2, 3, 4]))
+    spec = draw(st.sampled_from(kernel_specs(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 40))
+    return spec, random_points(rng, 1, n)[0], np.conj(random_points(rng, count, n))
+
+
+class TestKernelEvaluate:
+    @settings(max_examples=150, deadline=None)
+    @given(spec_and_points())
+    def test_unpermuted_equals_the_old_evaluation(self, drawn):
+        spec, z, wbar = drawn
+        assert spec.evaluate(z, wbar).tobytes() == kernel_evaluate(spec, z, wbar).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec_and_points())
+    def test_symmetrized_equals_the_mean_of_permuted_evaluations(self, drawn):
+        spec, z, wbar = drawn
+        got = spec.evaluate(z, wbar, symmetrize=True)
+        assert got.tobytes() == symmetrized_kernel(spec, z, wbar).tobytes()
+
+        def evaluate(spec, z, wbar):
+            return spec.evaluate(z, wbar)
+
+        assert got.tobytes() == symmetrized_kernel(spec, z, wbar, evaluate).tobytes()
+
+    @pytest.mark.parametrize("spec", kernel_specs(3), ids=repr)
+    def test_chunk_sized_rows(self, spec):
+        # arrays large enough for numpy to reuse temporaries in place
+        rng = np.random.default_rng(11)
+        z = random_points(rng, 1, 3)[0]
+        wbar = np.conj(random_points(rng, 40_000, 3))
+        got = spec.evaluate(z, wbar, symmetrize=True)
+        assert got.tobytes() == symmetrized_kernel(spec, z, wbar).tobytes()
+
+    def test_one_row(self):
+        rng = np.random.default_rng(5)
+        spec = KernelSpec("tilde", 3)
+        z, row = random_points(rng, 2, 3)
+        got = spec.evaluate(z, np.conj(row), symmetrize=True)
+        expected = symmetrized_kernel(spec, z, np.conj(row)[None])[0]
+        assert np.ndim(got) == 0 and got == expected
+
+
+class TestPoleMessage:
+    """The first factor within the guard, in the order of the unpermuted
+    kernel, names the error as it always has."""
+
+    @staticmethod
+    def messages(spec, z, wbar):
+        out = []
+        for evaluate in (
+            lambda: spec.evaluate(z, wbar),
+            lambda: spec.evaluate(z, wbar, symmetrize=True),
+            lambda: kernel_evaluate(spec, z, wbar),
+            lambda: symmetrized_kernel(spec, z, wbar),
+        ):
+            with pytest.raises(PoleProximity) as caught:
+                evaluate()
+            out.append(str(caught.value))
+        return out
+
+    @pytest.mark.parametrize("a", range(3))
+    @pytest.mark.parametrize("b", range(3))
+    def test_one_pole(self, a, b):
+        rng = np.random.default_rng(a * 3 + b)
+        z = random_points(rng, 1, 3, radius=0.5)[0] + 0.3
+        wbar = np.conj(random_points(rng, 7, 3))
+        wbar[4, b] = 1.0 / z[a]
+        messages = self.messages(KernelSpec("tilde", 3), z, wbar)
+        assert len(set(messages)) == 1
+        assert messages[0].startswith("diagonal factor" if a == b else "cross factor")
+
+    @pytest.mark.parametrize("poles", [((1, 1), (2, 0)), ((2, 2), (0, 1)), ((1, 2), (2, 1))])
+    def test_first_of_two_poles(self, poles):
+        rng = np.random.default_rng(2)
+        z = np.array([0.5, 0.6 + 0.2j, -0.7j])
+        wbar = np.conj(random_points(rng, 5, 3))
+        for row, (a, b) in enumerate(poles):
+            wbar[row, b] = 1.0 / z[a]
+        messages = self.messages(KernelSpec("t1", 3), z, wbar)
+        assert len(set(messages)) == 1
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_points_equal_separate_calls(self, n, monkeypatch):
+        stacked = _calibrate_image_constant(n, DEFAULT_NORM_ORDERS[n])
+        real = experiments.apply_operator
+
+        def one_point_at_a_time(spec, f, z, rule, **kwargs):
+            return np.array([real(spec, f, point, rule, **kwargs) for point in z])
+
+        monkeypatch.setattr(experiments, "apply_operator", one_point_at_a_time)
+        assert _calibrate_image_constant(n, DEFAULT_NORM_ORDERS[n]) == stacked
+
+
+def same_sums(got, expected):
+    for kind in ("h", "image"):
+        for a, b in zip(got[kind], expected[kind], strict=True):
+            if isinstance(b, Exception):
+                assert type(a) is type(b) and str(a) == str(b)
+            else:
+                assert float(a).hex() == float(b).hex()
+
+
+class TestNormSums:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([2, 3]),
+        s=st.floats(0.5, 0.99),
+        p=st.floats(1.2, 4.0),
+        radial=st.integers(1, 5),
+        angular=st.integers(1, 6),
+        constant=st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+    )
+    def test_small_rules(self, n, s, p, radial, angular, constant):
+        rule = singular_disc_rule(s, radial, angular)
+        p_list = [p, 2.0, 3.0]
+        expected = norm_sums(n, s, rule, p_list, constant)
+        same_sums(_norm_sums(n, s, rule, p_list, constant), expected)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cut_blocks(self, n):
+        # 390 nodes: the n = 2 block and the first n = 3 blocks hold more
+        # than BLOCK_CHUNK pairs and are cut into parts
+        rule = singular_disc_rule(0.99, 6, 13)
+        assert len(chunk_slices(rule.size * (rule.size + 1) // 2, BLOCK_CHUNK)) > 1
+        p_list = [2.0 * n / (n - 1.0), 1.5]
+        constant = 0.37 - 0.81j
+        expected = norm_sums(n, 0.99, rule, p_list, constant)
+        same_sums(_norm_sums(n, 0.99, rule, p_list, constant), expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflow_order(self, n):
+        # the integrands overflow only for the huge exponents, each sum
+        # keeps the first overflow it meets, and the others still add up
+        rule = singular_disc_rule(0.9, 3, 4)
+        p_list = [2.0, 1e6, 3.0, 1e5]
+        got = _norm_sums(n, 0.9, rule, p_list, 1.0)
+        assert [isinstance(x, Exception) for x in got["h"]] == [False, True, False, True]
+        same_sums(got, norm_sums(n, 0.9, rule, p_list, 1.0))
+
+
+class TestTriangleIndices:
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 300])
+    def test_matches_triu_indices(self, size):
+        j, k = triangle_indices(size)
+        assert j.dtype == k.dtype == np.int32
+        expected = np.triu_indices(size)
+        assert np.array_equal(j, expected[0]) and np.array_equal(k, expected[1])
+
+    def test_refuses_more_pairs_than_int32_holds(self):
+        with pytest.raises(ValueError, match="int32"):
+            triangle_indices(1 << 16)
