@@ -31,6 +31,7 @@ from .errors import (
 from .quadrature import (
     QuadratureRule,
     WeightSpec,
+    _gauss_legendre,
     disc_rule,
     legendre_nodes,
     polar_rule_at,
@@ -413,16 +414,10 @@ def _sector_cubature(s, inner, half_aperture, k_exp, radial_order=12, angular_or
     integrand values |1-zs|^(-k) at its nodes."""
     count = max(1, math.ceil(2.0 * math.log10(1.0 / inner)))
     edges = np.geomspace(inner, 1.0, count + 1)
-    gx, gw = legendre_nodes(radial_order)
-    rho, rho_w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rho.append((a + b) / 2.0 + (b - a) / 2.0 * gx)
-        rho_w.append((b - a) / 2.0 * gw)
-    rho = np.concatenate(rho)
-    rho_w = np.concatenate(rho_w)
-    gx, gw = legendre_nodes(angular_order)
-    phi = half_aperture * gx
-    phi_w = half_aperture * gw
+    panels = [_gauss_legendre(radial_order, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    rho = np.concatenate([x for x, _ in panels])
+    rho_w = np.concatenate([w for _, w in panels])
+    phi, phi_w = _gauss_legendre(angular_order, -half_aperture, half_aperture)
     center = 1.0 / s
     nodes = center - rho[:, None] * np.exp(1j * phi[None, :])
     weights = (rho * rho_w)[:, None] * phi_w[None, :]
@@ -438,15 +433,10 @@ def sector_annulus_integral(s, j, k_exp, n, mode="closed"):
     1/s.  Raises EmptyRegion when the inner radius reaches 1 -- the
     annulus then contains no points.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie strictly between 0 and 1")
-    if n < 2:
-        raise ValueError("dimension n >= 2 required")
-    if j < 1:
-        raise ValueError("annulus index j >= 1 required")
+    region = SectorRegion("Unj", s, n, j)
     if k_exp < 2:
         raise ValueError("integrand exponent k_exp >= 2 required")
-    inner = (5.0 * math.factorial(n)) ** (2 * j) * (1.0 - s)
+    inner = region.inner_radius
     if inner >= 1.0:
         raise EmptyRegion(
             f"inner radius {inner:.6g} reaches the outer radius 1; "
@@ -461,7 +451,6 @@ def sector_annulus_integral(s, j, k_exp, n, mode="closed"):
             / (3.0 * (n - 1) * (k_exp - 2.0) * s**k_exp)
         )
     if mode == "quadrature":
-        half = math.pi / (6.0 * (n - 1))
-        _, weights, values = _sector_cubature(s, inner, half, k_exp)
+        _, weights, values = _sector_cubature(s, inner, region.half_aperture, k_exp)
         return _rule_sum(values, weights, "sector cubature")
     raise ValueError(f"unknown mode {mode!r}")

@@ -46,6 +46,7 @@ from .quadrature import (
     PairTable,
     WeightSpec,
     _check_finite,
+    _on_circle,
     chunk_slices,
     disc_rule,
     refine,
@@ -741,9 +742,11 @@ def _leaves_weight_class(points, p):
     u^(-1/(p-1)) of the order |w - a|^(-e/(p-1)).  A power of |w - a| is
     integrable near a, on a disc or a half disc, exactly when its exponent
     exceeds -2.  Points outside the closed disc keep both bounded on it.
+    A point within 1e-9 of the circle counts as on it, as the polar rule
+    that integrates the weight about it takes it to be.
     """
     for a, count in Counter(points).items():
-        if abs(a) <= 1.0:
+        if abs(a) <= 1.0 or _on_circle(abs(a)):
             e = count * (2.0 - p)
             worst = min(e, -e / (p - 1.0))
             if worst < -2.0 or math.isclose(worst, -2.0):

@@ -77,10 +77,7 @@ def bergman_symmetrized(p, q, tol=1e-12):
     for perm in Permutation.group(n):
         prod = 1.0 + 0.0j
         for j in range(n):
-            factor = 1.0 - z[j] * wbar[perm.mapping[j]]
-            if abs(factor) < POLE_GUARD:
-                raise PoleProximity("symmetrized kernel at a boundary pair")
-            prod *= 1.0 / (math.pi * factor * factor)
+            prod *= bergman_disc(z[j], wbar[perm.mapping[j]])
         total += perm.sign * prod
     jz = jacobian_phi(tuple(z))
     jw = jacobian_phi(tuple(ws))
@@ -90,19 +87,14 @@ def bergman_symmetrized(p, q, tol=1e-12):
     return complex(total / denom)
 
 
-def symmetric_top(prefix, y, z):
+def symmetric_top_from_sums(prefix, low, top):
     """(n-1)! e_{n-1}(x_1, ..., x_{n-2}, y, z): the sum over all orderings of
     the n variables of the product of the first n - 1.
 
-    ``prefix`` holds x_1, ..., x_{n-2} (scalars or arrays).
-    """
-    return symmetric_top_from_sums(prefix, y + z, y * z if prefix else None)
-
-
-def symmetric_top_from_sums(prefix, low, top):
-    """:func:`symmetric_top` from the elementary symmetric values of its last
-    two variables, ``low`` = y + z and ``top`` = y z (unused without a
-    prefix), so that a caller can build them once for many prefixes.
+    ``prefix`` holds x_1, ..., x_{n-2} (scalars or arrays); the last two
+    variables enter through their elementary symmetric values ``low`` =
+    y + z and ``top`` = y z (unused without a prefix), so that a caller can
+    build them once for many prefixes.
 
     Adding a variable x to a set of m maps its top two elementary symmetric
     values (e_{m-1}, e_m) to (e_m + x e_{m-1}, x e_m).
@@ -135,7 +127,8 @@ def test_function_hs(n, s, pts):
     """
     pts, single = _as_rows(pts, n)
     g = family_factors(n, s, pts)[0]
-    out = symmetric_top([g[:, l] for l in range(n - 2)], g[:, n - 2], g[:, n - 1])
+    prefix, y, z = [g[:, l] for l in range(n - 2)], g[:, n - 2], g[:, n - 1]
+    out = symmetric_top_from_sums(prefix, y + z, y * z if prefix else None)
     return out[0] if single else out
 
 
@@ -396,10 +389,9 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
 
     def integrand(pts):
         wbar = np.conj(pts)
-        if z.ndim == 1:
-            return spec.evaluate(z, wbar, symmetrize=symmetric_f) * np.asarray(f(pts))
         ker = np.stack([spec.evaluate(point, wbar, symmetrize=symmetric_f) for point in points])
         values = np.asarray(f(pts))
         return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
 
-    return integrate_polydisc(integrand, rule, n, symmetric=symmetric_f, chunk=chunk)
+    out = integrate_polydisc(integrand, rule, n, symmetric=symmetric_f, chunk=chunk)
+    return out if z.ndim == 2 else out[0]

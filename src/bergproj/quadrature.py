@@ -8,10 +8,10 @@ Two rule families:
   roundoff) because both one-dimensional pieces integrate constants
   exactly.
 * ``polar_rule_at`` -- polar coordinates about an arbitrary center (inside
-  or outside the closed disc), with log-graded radial panels and per-ring
-  angular rules on the arcs that meet the disc.  This is the rule of
-  choice when the integrand blows up at one point: rings are level sets
-  of the distance to the singularity.
+  the disc, on its boundary circle or outside), with log-graded radial
+  panels and per-ring angular rules on the arcs that meet the disc.  This
+  is the rule of choice when the integrand blows up at one point: rings
+  are level sets of the distance to the singularity.
 
 Polydisc integrals are tensor products of a single disc rule, evaluated
 in chunks.  For integrands symmetric under coordinate permutations the sum
@@ -180,20 +180,34 @@ def _full_ring_order(angular_order):
     return max(MIN_RING_NODES, 2 * int(angular_order))
 
 
+def _on_circle(center_dist):
+    """Whether a polar rule center at this distance sits on the boundary
+    circle, where every ring about it is an arc."""
+    return abs(center_dist - 1.0) < 1e-9
+
+
 def _radial_panels(center_dist, radial_order, inner_cutoff):
     """Radial panel scheme for a polar rule about a point at distance d.
 
     Exterior centers: half-decade log panels from d-1 to d+1 with sqrt
-    substitutions at both tangency radii.  Interior centers: log-graded
-    full-circle panels from the inner cutoff out to 1-d, then a clipped
-    band up to 1+d with sqrt substitutions at its kink and tangency edges.
-    ``radial_order`` is the Gauss-Legendre order used on each panel, so
-    scaling it refines every panel uniformly.
+    substitutions at both tangency radii.  Centers on the boundary circle:
+    decade log panels from the inner cutoff out to 2, every ring an arc,
+    with a sqrt substitution at the far tangency.  Interior centers:
+    log-graded full-circle panels from the inner cutoff out to 1-d, then a
+    clipped band up to 1+d with sqrt substitutions at its kink and tangency
+    edges.  ``radial_order`` is the Gauss-Legendre order used on each
+    panel, so scaling it refines every panel uniformly.
     """
     d = center_dist
     rho_max = d + 1.0
     panels = []
-    if d > 1.0:
+    if _on_circle(d):
+        lo = inner_cutoff * 2.0
+        count = max(1, math.ceil(math.log10(2.0 / lo)))
+        edges = np.geomspace(lo, 2.0, count + 1)
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            panels.append((a, b, False, i == count - 1))
+    elif d > 1.0:
         lo = d - 1.0
         count = max(1, math.ceil(2.0 * math.log10(rho_max / lo)))
         edges = np.geomspace(lo, rho_max, count + 1)
@@ -228,7 +242,8 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
 
     Rings are circles around the center clipped to the disc: a full circle
     when it lies inside, otherwise the arc facing the disc with its exact
-    angular extent.  Radial nodes are log-graded, so integrands singular
+    angular extent.  About a center on the boundary circle every ring is
+    such an arc.  Radial nodes are log-graded, so integrands singular
     at the center (any integrable power, plus logarithms) are resolved
     down to ``inner_cutoff`` times the outer radius.  ``radial_order``
     counts nodes per log panel and ``angular_order`` nodes per arc, so
@@ -236,8 +251,6 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     """
     center = complex(center)
     d = abs(center)
-    if abs(d - 1.0) < 1e-9:
-        raise ValueError("polar rule center may not sit on the boundary circle")
     beta = math.atan2(center.imag, center.real)
     rho, rho_w = _radial_panels(d, radial_order, inner_cutoff)
 
@@ -245,6 +258,9 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     gl_x, gl_w = legendre_nodes(m)
     if d < 1e-14:
         gamma = np.where(rho < 1.0, math.inf, -math.inf)
+    elif _on_circle(d):
+        # the general formula at d = 1, which it would lose to cancellation
+        gamma = -0.5 * rho
     else:
         gamma = (1.0 - d * d - rho * rho) / (2.0 * rho * d)
     # gamma falls as rho grows, so the full rings come first, then the
@@ -310,7 +326,7 @@ def refine(rule: QuadratureRule, radial_factor=2.0, angular_factor=2.0) -> Quadr
     if d["family"] == "disc":
         return disc_rule(radial, angular, cluster=d["cluster"], boost=d["boost"])
     if d["family"] == "polar":
-        has_full_rings = abs(d["center"]) < 1.0
+        has_full_rings = abs(d["center"]) < 1.0 and not _on_circle(abs(d["center"]))
         if _panel_order(radial) <= _panel_order(d["radial_order"]) or (
             has_full_rings
             and _full_ring_order(angular) <= _full_ring_order(d["angular_order"])
@@ -475,15 +491,12 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     a time, but the block's values and weights are held whole and summed
     once, so memory grows with the largest block: the size^2/2 pairs of
     the whole rule at n = 2, the pairs at or above one index at n = 3.
+    At n = 1 there is nothing to reduce and ``symmetric`` is ignored.
     """
     nodes = np.asarray(rule.nodes)
     weights = np.asarray(rule.weights)
     size = len(nodes)
-    if n == 1:
-        vals = np.asarray(f(nodes[:, None]))
-        _check_finite(vals, "n=1")
-        return _batch_total(np.sum(weights * vals, axis=-1))
-    if symmetric:
+    if symmetric and n > 1:
         acc = 0.0 + 0.0j
         for prefix, j, k, weight in symmetric_blocks(weights, n):
             parts = []
@@ -586,12 +599,6 @@ class WeightSpec:
                 out *= np.abs(a - w) ** self.exponent
             return out
         raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def singularities(self):
-        """Points where the weight is singular (negative exponents only)."""
-        if self.kind == "point_product" and self.exponent < 0:
-            return self.points
-        return ()
 
 
 def weighted_lp_norm(f, p, weight, rule, n, symmetric=False):

@@ -277,8 +277,8 @@ def mul_truncate_block(f, g, start, length, max_deg):
 # ---------------------------------------------------------------------------
 # kernel building blocks, zero-based indices, layout (z_0..z_{n-1}, w_0..w_{n-1})
 #
-# The four pair products and denominators are built once per n and the
-# same MultiPoly is returned after that: no function here mutates a
+# The denominators and the kernels of the table are built once per n and
+# the same objects are returned after that: no function here mutates a
 # MultiPoly, every ring operation returns a new one.
 # ---------------------------------------------------------------------------
 
@@ -301,24 +301,6 @@ def b_factor(n, j, k):
     wj = MultiPoly.variable(nvars, n + j)
     wk = MultiPoly.variable(nvars, n + k)
     return (zj - zk) * (wj - wk)
-
-
-@cache
-def symmetric_pair_product(n):
-    """prod over j<k of (1 - z_k w_j)(1 - z_j w_k)."""
-    out = MultiPoly.constant(2 * n, 1)
-    for j, k in combinations(range(n), 2):
-        out = out * a_factor(n, k, j) * a_factor(n, j, k)
-    return out
-
-
-@cache
-def vandermonde_pair_product(n):
-    """prod over j<k of (z_j - z_k)(w_j - w_k)."""
-    out = MultiPoly.constant(2 * n, 1)
-    for j, k in combinations(range(n), 2):
-        out = out * b_factor(n, j, k)
-    return out
 
 
 @cache
@@ -469,6 +451,7 @@ def _pair_factor(name, n, j, k):
     return diff * diff
 
 
+@cache
 def rational_kernel(family, n, l=None):
     """One kernel of :data:`KERNEL_TABLE`, exactly and without its constant
     (1/pi)^n: the numerator the table gives over :func:`full_denominator`."""
@@ -522,16 +505,18 @@ def verify_ab_identity(n, mutate=False, collect=None):
 def verify_kernel_decomposition(n, mutate=False, collect=None):
     """Check that the two kernel parts sum to the polydisc Bergman kernel.
 
-    Two exact statements: the numerators over the shared denominator sum
-    to the full pair product, and that pair product times the diagonal
-    denominator equals the shared denominator (so the sum of the two parts
-    is exactly the product of the one-variable Bergman kernels).
+    Two exact statements about the rows of :data:`KERNEL_TABLE`: the
+    numerators of t1 and t2 over the shared denominator sum to that of
+    bergman_polydisc, and their sum times the diagonal denominator equals
+    the shared denominator (so the sum of the two parts is exactly the
+    product of the one-variable Bergman kernels).
     """
-    a_part = symmetric_pair_product(n)
-    b_part = vandermonde_pair_product(n)
-    t1 = a_part - b_part
-    t2 = -b_part if mutate else b_part
-    numerator_ok = _polys_agree(t1 + t2, a_part, seed=2000 + n)
+    t1 = rational_kernel("t1", n).num
+    t2 = rational_kernel("t2", n).num
+    if mutate:
+        t2 = -t2
+    bergman = rational_kernel("bergman_polydisc", n).num
+    numerator_ok = _polys_agree(t1 + t2, bergman, seed=2000 + n)
     lhs = (t1 + t2) * diagonal_denominator(n)
     den = full_denominator(n)
     rational_ok = _polys_agree(lhs, den, seed=2100 + n)

@@ -69,12 +69,21 @@ def operator_cases(draw):
 
 class TestApplyOperatorBatch:
     @settings(max_examples=60, deadline=None)
-    @given(case=operator_cases(), budget=st.sampled_from([INTEGRAND_CHUNK, 4096, 500]))
-    def test_equal_to_per_pair_oracle(self, case, budget):
+    @given(
+        case=operator_cases(),
+        budget=st.sampled_from([INTEGRAND_CHUNK, 4096, 500]),
+        symmetric=st.booleans(),
+    )
+    def test_equal_to_per_pair_oracle(self, case, budget, symmetric):
         spec, rule, z, functions = case
         n = spec.n
         with mock.patch.object(kernels, "INTEGRAND_CHUNK", budget):
             got = apply_operator(spec, stack_of(functions), z, rule)
+            # one point is a stack of one, bit for bit, with either reduction
+            for f in (functions[0], stack_of(functions)):
+                one = apply_operator(spec, f, z[0], rule, symmetric_f=symmetric)
+                stacked = apply_operator(spec, f, z[:1], rule, symmetric_f=symmetric)
+                assert np.array_equal(one, stacked[0])
         want = np.array(
             [[oracles.apply_operator(spec, f, point, rule, n) for f in functions] for point in z]
         )
@@ -172,6 +181,7 @@ class TestIntegrateBatch:
         "n, symmetric, chunk",
         [
             (1, False, INTEGRAND_CHUNK),
+            (1, True, INTEGRAND_CHUNK),
             (2, False, INTEGRAND_CHUNK),
             (2, False, 97),
             (3, False, 1000),
@@ -189,6 +199,9 @@ class TestIntegrateBatch:
             )
             assert isinstance(one, complex)
             assert got[row] == one
+        if n == 1:
+            # nothing to reduce at n = 1: symmetric is ignored
+            assert np.array_equal(got, integrate_polydisc(self.batch, rule, n, chunk=chunk))
 
     def test_two_batch_axes(self):
         rule = disc_rule(3, 6)

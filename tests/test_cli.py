@@ -219,7 +219,7 @@ class TestAnnihilationCommand:
 
 
 class TestWeightClassVerdict:
-    def test_one_point_table_with_divergent_ends_passes(self, capsys):
+    def test_one_point_table_with_divergent_ends_passes(self, tmp_path, capsys):
         code = main(
             ["bekolle-bonami", "--weight", "up", "--points", "0.5",
              "--p-list", "1.3,1.5,2,3,3.5,3.8,3.9,3.95,4.0"]
@@ -228,6 +228,17 @@ class TestWeightClassVerdict:
         printed = capsys.readouterr().out
         assert "p=1.3: divergent (expected divergent)" in printed
         assert "p=4.0: divergent (expected divergent)" in printed
+        # a point on the circle has the same range: its half disc
+        # integrates the same powers as a whole one
+        out = tmp_path / "circle.json"
+        code = main(
+            ["bekolle-bonami", "--weight", "up", "--points", "1",
+             "--p-list", "1.3,1.5,2.5,3.9,4.0", "--out", str(out)]
+        )
+        assert code == 0
+        rows = read_json(out)["rows"]
+        assert [row["divergent"] for row in rows] == [True, False, False, False, True]
+        assert all(row["consistent"] for row in rows)
 
     def test_two_point_table_passes(self):
         code = main(

@@ -350,6 +350,11 @@ class TestWeightClassRange:
             ((0.3, 0.3 + 0.02j), 2.9, False),
             ((0.3, 0.3 + 0.02j, 0.3), 3.0, True),
             ((1.5, 1.5, 1.5), 3.5, False),
+            # on the circle, and within the polar rule's 1e-9 of it
+            ((1.0,), 1.3, True),
+            ((1.0,), 3.9, False),
+            ((1.0 + 5e-10,), 4.0, True),
+            ((1.0 + 2e-9,), 4.0, False),
         ],
     )
     def test_range(self, points, p, leaves):

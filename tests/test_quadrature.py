@@ -124,9 +124,13 @@ class TestPolarRule:
             assert np.max(np.abs(rule.nodes)) < 1.0
             assert np.all(rule.weights > 0)
 
-    def test_boundary_center_rejected(self):
-        with pytest.raises(ValueError):
-            polar_rule_at(1.0, 8, 8)
+    def test_boundary_center_covers_the_disc(self):
+        # about a point of the circle every ring is an arc facing the disc
+        for center in (1.0, -1j, complex(np.exp(0.7j))):
+            rule = polar_rule_at(center, 10, 16)
+            assert rule.total_weight() == pytest.approx(math.pi, rel=1e-12)
+            assert np.max(np.abs(rule.nodes)) < 1.0
+            assert np.all(rule.weights > 0)
 
 
 class TestSingularRule:
@@ -241,11 +245,6 @@ class TestWeightSpec:
         w = WeightSpec.point_product([0.0], -1.0)
         with pytest.raises(ValueError):
             w.evaluate(np.zeros((3, 2), complex))
-
-    def test_singularities(self):
-        assert WeightSpec.point_product([0.5], -1.0).singularities() == (0.5,)
-        assert WeightSpec.point_product([0.5], 1.0).singularities() == ()
-        assert WeightSpec.jacobian_power(2.0).singularities() == ()
 
 
 class TestWeightedNorm:

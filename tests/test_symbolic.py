@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bergproj.symbolic as symbolic
 from bergproj.experiments import identity_suite
 from bergproj.symbolic import (
     GaussianRational,
@@ -28,10 +29,8 @@ from bergproj.symbolic import (
     rational_equal,
     rational_kernel,
     swap_block_variables,
-    symmetric_pair_product,
     t1_series_w_antisymmetrization,
     truncate_block_degree,
-    vandermonde_pair_product,
     verify_ab_identity,
     verify_kernel_decomposition,
     verify_pI_expansion,
@@ -39,6 +38,15 @@ from bergproj.symbolic import (
     verify_vandermonde_expansion,
 )
 from bergproj.symmetrization import Permutation
+
+
+def symmetric_pair_product(n):
+    """prod over j<k of (1 - z_k w_j)(1 - z_j w_k), built from the factors."""
+    out = MultiPoly.constant(2 * n, 1)
+    for j in range(n):
+        for k in range(j + 1, n):
+            out = out * a_factor(n, k, j) * a_factor(n, j, k)
+    return out
 
 
 def _small_polys(nvars=3, max_terms=4, max_exp=3):
@@ -200,17 +208,19 @@ class TestKernelBuilders:
         # the suite with its negative controls must leave the shared,
         # memoized polynomials as a fresh build makes them
         identity_suite(4, negative_controls=True)
-        constructors = (
-            symmetric_pair_product,
-            vandermonde_pair_product,
-            full_denominator,
-            diagonal_denominator,
-        )
-        for construct in constructors:
+        families = ("t1", "t2", "bergman_polydisc")
+        constructors = [full_denominator, diagonal_denominator] + [
+            lambda n, family=family: rational_kernel(family, n).num for family in families
+        ]
+        fresh_builds = [full_denominator.__wrapped__, diagonal_denominator.__wrapped__] + [
+            lambda n, family=family: rational_kernel.__wrapped__(family, n).num
+            for family in families
+        ]
+        for construct, build in zip(constructors, fresh_builds):
             for n in (2, 3, 4):
                 cached = construct(n)
                 assert construct(n) is cached
-                fresh = construct.__wrapped__(n)
+                fresh = build(n)
                 assert fresh is not cached
                 assert cached == fresh and cached.nvars == fresh.nvars == 2 * n
 
@@ -237,6 +247,25 @@ class TestIdentityVerifiers:
 
     def test_kernel_decomposition_four_vars(self):
         assert verify_kernel_decomposition(4)
+
+    def test_kernel_decomposition_reads_the_table(self, monkeypatch):
+        # a wrong t1 row, P_n - P_2, must fail the check: t1 + t2 is then
+        # P_n - P_2 + P_1, which is not P_n
+        def clear():
+            symbolic.kernel_terms.cache_clear()
+            symbolic.rational_kernel.cache_clear()
+
+        clear()
+        monkeypatch.setitem(symbolic.KERNEL_TABLE, "t1", ((1, "n"), (-1, 2)))
+        try:
+            rows = identity_suite(4).rows
+        finally:
+            monkeypatch.undo()
+            clear()
+        passed = {
+            row["index"]: row["passed"] for row in rows if row["verifier"] == "kernel_decomposition"
+        }
+        assert passed[3] is False and passed[4] is False
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_pI_expansion(self, m):
