@@ -243,14 +243,19 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     Rings are circles around the center clipped to the disc: a full circle
     when it lies inside, otherwise the arc facing the disc with its exact
     angular extent.  About a center on the boundary circle every ring is
-    such an arc.  Radial nodes are log-graded, so integrands singular
-    at the center (any integrable power, plus logarithms) are resolved
-    down to ``inner_cutoff`` times the outer radius.  ``radial_order``
-    counts nodes per log panel and ``angular_order`` nodes per arc, so
-    both scale accuracy directly.
+    such an arc; a center within 1e-9 of the circle is moved onto it, and
+    every node of such a rule lies in the closed disc.  Radial nodes are
+    log-graded, so integrands singular at the center (any integrable
+    power, plus logarithms) are resolved down to ``inner_cutoff`` times
+    the outer radius.  ``radial_order`` counts nodes per log panel and
+    ``angular_order`` nodes per arc, so both scale accuracy directly.
     """
-    center = complex(center)
-    d = abs(center)
+    given = complex(center)
+    d = abs(given)
+    on_circle = _on_circle(d)
+    # a centre taken as on the circle is moved onto it, so that its arcs
+    # end on the circle rather than up to 1e-9 past it
+    center = given / d if on_circle else given
     beta = math.atan2(center.imag, center.real)
     rho, rho_w = _radial_panels(d, radial_order, inner_cutoff)
 
@@ -258,7 +263,7 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
     gl_x, gl_w = legendre_nodes(m)
     if d < 1e-14:
         gamma = np.where(rho < 1.0, math.inf, -math.inf)
-    elif _on_circle(d):
+    elif on_circle:
         # the general formula at d = 1, which it would lose to cancellation
         gamma = -0.5 * rho
     else:
@@ -288,12 +293,17 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
         log_weights.append((ring_log[:, None] + np.log(pw)).ravel())
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
+    if on_circle:
+        # nodes within about an ulp of the circle round onto or past it;
+        # pull those to just inside it
+        out = np.abs(nodes) > 1.0
+        nodes[out] *= (1.0 - 4.0 * np.finfo(float).eps) / np.abs(nodes[out])
     return QuadratureRule(
         nodes=nodes,
         weights=weights,
         descriptor={
             "family": "polar",
-            "center": center,
+            "center": given,
             "radial_order": int(radial_order),
             "angular_order": int(angular_order),
             "inner_cutoff": inner_cutoff,

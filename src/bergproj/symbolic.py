@@ -3,7 +3,12 @@
 Everything in this module is exact: coefficients are Python ints,
 :class:`fractions.Fraction`, or :class:`GaussianRational`.  Floating point
 appears only in the fast pre-screen that evaluates both sides of a claimed
-identity at a few pseudorandom points before the exact comparison runs.
+identity at a few pseudorandom points before the exact comparison runs:
+:meth:`MultiPoly.eval` returns complex floats.  A :class:`MultiPoly` keys
+each monomial by one int, exponent i in digit i of :data:`WIDTH` bits
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), and a product whose degree bound
+would pass a digit raises OverflowError.
 
 Variable layout for kernel polynomials in dimension n: the first n slots
 are the holomorphic variables z_0..z_{n-1}, the next n slots are the
@@ -18,10 +23,11 @@ kernel, the polydisc Bergman kernel included, over one shared denominator;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -94,19 +100,66 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial: exponent tuple -> exact coefficient."""
+#: bits in one digit of a packed monomial key; exponent i sits in digit i
+WIDTH = 8
+#: the largest exponent one digit holds
+DIGIT_MAX = (1 << WIDTH) - 1
+_DIGIT = np.dtype(f"<u{WIDTH // 8}")
 
-    __slots__ = ("nvars", "terms")
+
+def unpack(key, nvars):
+    """The exponent tuple of a packed key in ``nvars`` variables."""
+    return tuple((key >> (WIDTH * i)) & DIGIT_MAX for i in range(nvars))
+
+
+def _block_digits(key, start, length):
+    return [(key >> (WIDTH * i)) & DIGIT_MAX for i in range(start, start + length)]
+
+
+class MultiPoly:
+    """Sparse multivariate polynomial: packed monomial key -> exact coefficient.
+
+    ``terms`` keys each monomial by one int that holds exponent i in digit
+    i, :data:`WIDTH` bits wide, so a monomial product is one integer
+    addition.  The constructor takes exponent tuples of length ``nvars``
+    and refuses negative, non-integer and over-wide entries.
+    ``deg_bound`` bounds every exponent: the largest one at construction,
+    the sum of the operands' bounds for a product, and a product whose
+    bound would pass :data:`DIGIT_MAX` raises OverflowError instead of
+    carrying into the next digit.  :meth:`sorted_terms` gives the terms
+    back as tuples.
+    """
+
+    __slots__ = ("nvars", "terms", "deg_bound")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
-        cleaned = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff != 0:
-                    cleaned[tuple(exps)] = coeff
-        self.terms = cleaned
+        self.terms = {}
+        self.deg_bound = 0
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != self.nvars or not all(
+                isinstance(e, numbers.Integral) and 0 <= e <= DIGIT_MAX for e in exps
+            ):
+                raise ValueError(
+                    f"exponent {exps!r} is not {self.nvars} integers in 0..{DIGIT_MAX}"
+                )
+            if coeff != 0:
+                exps = [int(e) for e in exps]
+                self.terms[sum(e << (WIDTH * i) for i, e in enumerate(exps))] = coeff
+                self.deg_bound = max([self.deg_bound, *exps])
+
+    @classmethod
+    def _packed(cls, nvars, terms, deg_bound):
+        """A polynomial that takes over a fresh dict of packed keys and
+        drops its zero coefficients."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c != 0}
+        poly.terms = terms
+        poly.deg_bound = deg_bound
+        return poly
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -115,7 +168,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {tuple([0] * nvars): c})
+        return cls._packed(int(nvars), {0: c}, 0)
 
     @classmethod
     def variable(cls, nvars, index):
@@ -131,12 +184,14 @@ class MultiPoly:
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
             out[exps] = coeff if acc is None else acc + coeff
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._packed(self.nvars, out, max(self.deg_bound, other.deg_bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._packed(
+            self.nvars, {e: -c for e, c in self.terms.items()}, self.deg_bound
+        )
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -147,19 +202,23 @@ class MultiPoly:
         return (-self) + other
 
     def scale(self, c):
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return MultiPoly._packed(
+            self.nvars, {e: c * v for e, v in self.terms.items()}, self.deg_bound
+        )
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
+        deg_bound = _product_bound(self, other)
         out = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = e1 + e2
                 c = c1 * c2
-                acc = out.get(e)
+                acc = get(e)
                 out[e] = c if acc is None else acc + c
-        return MultiPoly(self.nvars, out)
+        return MultiPoly._packed(self.nvars, out, deg_bound)
 
     __rmul__ = __mul__
 
@@ -179,8 +238,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not self.terms:
                 return other == 0
-            zero_exp = tuple([0] * self.nvars)
-            return set(self.terms) == {zero_exp} and self.terms[zero_exp] == other
+            return set(self.terms) == {0} and self.terms[0] == other
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
@@ -195,21 +253,35 @@ class MultiPoly:
         return not self.terms
 
     def eval(self, point):
-        """Evaluate at a sequence of numbers (complex allowed)."""
-        total = 0j if any(isinstance(p, complex) for p in point) else 0
-        for exps, coeff in self.terms.items():
-            val = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
-            for i, e in enumerate(exps):
-                if e:
-                    val = val * point[i] ** e
-            total = total + val
-        return total
+        """Value at a point, one number per variable, as a complex float.
+
+        A stack of points, shape (k, nvars), gives an array of k values.
+        One vectorised pass: the keys unpack to an exponent array, each
+        variable gets a table of its powers, and the looked-up powers are
+        multiplied along each term, scaled by the coefficients and summed.
+        """
+        points = np.asarray(point, dtype=complex)
+        if points.ndim not in (1, 2) or points.shape[-1] != self.nvars:
+            raise ValueError(f"points of {self.nvars} coordinates are needed, got {points.shape}")
+        stack = points.reshape(-1, self.nvars)
+        values = np.zeros(len(stack), dtype=complex)
+        if self.terms:
+            nbytes = self.nvars * WIDTH // 8
+            raw = b"".join(map(int.to_bytes, self.terms, repeat(nbytes), repeat("little")))
+            exps = np.frombuffer(raw, dtype=_DIGIT).reshape(-1, self.nvars)
+            powers = np.ones((int(exps.max()) + 1, len(stack), self.nvars), dtype=complex)
+            np.cumprod(np.broadcast_to(stack, powers[1:].shape), axis=0, out=powers[1:])
+            products = np.ones((len(stack), len(exps)), dtype=complex)
+            for i in range(self.nvars):
+                products *= powers[exps[:, i], :, i].T
+            values = products @ np.array(list(self.terms.values()), dtype=complex)
+        return complex(values[0]) if points.ndim == 1 else values
 
     def sorted_terms(self):
-        """Graded-lexicographic term order, largest degree first."""
-        return sorted(
-            self.terms.items(), key=lambda item: (-sum(item[0]), item[0])
-        )
+        """(exponent tuple, coefficient) pairs in graded-lexicographic
+        order, largest degree first."""
+        items = [(unpack(e, self.nvars), c) for e, c in self.terms.items()]
+        return sorted(items, key=lambda item: (-sum(item[0]), item[0]))
 
     def __repr__(self):
         shown = self.sorted_terms()[:4]
@@ -218,20 +290,30 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {{{inner}{more}}})"
 
 
+def _product_bound(f, g):
+    """The degree bound of f * g; raises OverflowError before a digit carries."""
+    deg_bound = f.deg_bound + g.deg_bound
+    if deg_bound > DIGIT_MAX:
+        raise OverflowError(
+            f"a product of degree bound {deg_bound} passes the {WIDTH}-bit"
+            f" exponent digit (at most {DIGIT_MAX})"
+        )
+    return deg_bound
+
+
 def permute_block(poly, start, length, perm):
     """Relabel the variables of one block by a permutation.
 
     Variable ``start + i`` becomes variable ``start + perm.mapping[i]``.
     """
+    block = ((1 << (WIDTH * length)) - 1) << (WIDTH * start)
     out = {}
-    for exps, coeff in poly.terms.items():
-        new = list(exps)
-        for i in range(length):
-            new[start + perm.mapping[i]] = exps[start + i]
-        key = tuple(new)
-        acc = out.get(key)
-        out[key] = coeff if acc is None else acc + coeff
-    return MultiPoly(poly.nvars, out)
+    for key, coeff in poly.terms.items():
+        new = key & ~block
+        for i, e in enumerate(_block_digits(key, start, length)):
+            new |= e << (WIDTH * (start + perm.mapping[i]))
+        out[new] = coeff
+    return MultiPoly._packed(poly.nvars, out, poly.deg_bound)
 
 
 def antisymmetrize(poly, start, length):
@@ -252,26 +334,28 @@ def truncate_block_degree(poly, start, length, max_deg):
     kept = {
         e: c
         for e, c in poly.terms.items()
-        if sum(e[start : start + length]) <= max_deg
+        if sum(_block_digits(e, start, length)) <= max_deg
     }
-    return MultiPoly(poly.nvars, kept)
+    return MultiPoly._packed(poly.nvars, kept, poly.deg_bound)
 
 
 def mul_truncate_block(f, g, start, length, max_deg):
     """Product of two polynomials, truncated by block degree on the fly."""
+    deg_bound = _product_bound(f, g)
+    g_terms = [(e, c, sum(_block_digits(e, start, length))) for e, c in g.terms.items()]
     out = {}
     for e1, c1 in f.terms.items():
-        d1 = sum(e1[start : start + length])
+        d1 = sum(_block_digits(e1, start, length))
         if d1 > max_deg:
             continue
-        for e2, c2 in g.terms.items():
-            if d1 + sum(e2[start : start + length]) > max_deg:
+        for e2, c2, d2 in g_terms:
+            if d1 + d2 > max_deg:
                 continue
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = e1 + e2
             c = c1 * c2
             acc = out.get(e)
             out[e] = c if acc is None else acc + c
-    return MultiPoly(f.nvars, out)
+    return MultiPoly._packed(f.nvars, out, deg_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +535,23 @@ def _pair_factor(name, n, j, k):
     return diff * diff
 
 
-@cache
-def rational_kernel(family, n, l=None):
-    """One kernel of :data:`KERNEL_TABLE`, exactly and without its constant
-    (1/pi)^n: the numerator the table gives over :func:`full_denominator`."""
+def kernel_numerator(family, n, l=None):
+    """The numerator of one kernel of :data:`KERNEL_TABLE` over
+    :func:`full_denominator`, exactly and without its constant (1/pi)^n."""
     num = MultiPoly.zero(2 * n)
     for sign, factors in kernel_terms(family, n, l):
         term = MultiPoly.constant(2 * n, 1)
         for (j, k), name in zip(combinations(range(n), 2), factors):
             term = term * _pair_factor(name, n, j, k)
         num = num + term if sign > 0 else num - term
-    return RationalFn(num, full_denominator(n), n)
+    return num
+
+
+@cache
+def rational_kernel(family, n, l=None):
+    """One kernel of :data:`KERNEL_TABLE`, exactly and without its constant
+    (1/pi)^n: :func:`kernel_numerator` over :func:`full_denominator`."""
+    return RationalFn(kernel_numerator(family, n, l), full_denominator(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +562,15 @@ def rational_kernel(family, n, l=None):
 def _polys_agree(lhs, rhs, seed):
     """Float pre-screen at three pseudorandom points, then exact comparison."""
     rng = np.random.default_rng(seed)
-    for _ in range(3):
-        point = rng.uniform(-0.5, 0.5, lhs.nvars) + 1j * rng.uniform(
-            -0.5, 0.5, lhs.nvars
-        )
-        lv = lhs.eval(tuple(point))
-        rv = rhs.eval(tuple(point))
-        if abs(lv - rv) > 1e-9 * max(1.0, abs(lv), abs(rv)):
-            return False
+    points = [
+        rng.uniform(-0.5, 0.5, lhs.nvars) + 1j * rng.uniform(-0.5, 0.5, lhs.nvars)
+        for _ in range(3)
+    ]
+    lv = lhs.eval(points)
+    rv = rhs.eval(points)
+    scale = np.maximum(1.0, np.maximum(np.abs(lv), np.abs(rv)))
+    if np.any(np.abs(lv - rv) > 1e-9 * scale):
+        return False
     return lhs == rhs
 
 

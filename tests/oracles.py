@@ -22,7 +22,11 @@ them, and the tests hold the new paths to them bit for bit:
 * the fused norm pass ``_norm_sums`` as it was before the pair sums of
   the last two indices were tabulated once per rule, when every block
   gathered the factors of its pairs and multiplied them anew; the new
-  pass must match it bit for bit.
+  pass must match it bit for bit;
+* the exact layer before its monomials were packed into ints, keyed by
+  exponent tuples, with its block helpers and its builds of the
+  denominators and the kernel numerators; the packed layer must equal
+  it term for term.
 """
 
 import math
@@ -50,7 +54,7 @@ from bergproj.quadrature import (
     chunk_slices,
     symmetric_blocks,
 )
-from bergproj.symbolic import kernel_terms
+from bergproj.symbolic import GaussianRational, kernel_terms
 
 
 def _integrate_symmetric_2(f, nodes, weights):
@@ -334,3 +338,218 @@ def norm_sums(n, s, rule, p_list, constant):
                     continue
                 out[kind][index] += np.sum(summands)
     return out
+
+
+class TupleMultiPoly:
+    """Sparse multivariate polynomial: exponent tuple -> exact coefficient,
+    the exact layer before its keys were packed."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = int(nvars)
+        cleaned = {}
+        if terms:
+            for exps, coeff in terms.items():
+                if coeff != 0:
+                    cleaned[tuple(exps)] = coeff
+        self.terms = cleaned
+
+    # -- constructors ---------------------------------------------------
+    @classmethod
+    def zero(cls, nvars):
+        return cls(nvars)
+
+    @classmethod
+    def constant(cls, nvars, c):
+        return cls(nvars, {tuple([0] * nvars): c})
+
+    @classmethod
+    def variable(cls, nvars, index):
+        exps = [0] * nvars
+        exps[index] = 1
+        return cls(nvars, {tuple(exps): 1})
+
+    # -- ring operations -------------------------------------------------
+    def __add__(self, other):
+        if not isinstance(other, TupleMultiPoly):
+            other = TupleMultiPoly.constant(self.nvars, other)
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = out.get(exps)
+            out[exps] = coeff if acc is None else acc + coeff
+        return TupleMultiPoly(self.nvars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TupleMultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, TupleMultiPoly):
+            other = TupleMultiPoly.constant(self.nvars, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c):
+        return TupleMultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if not isinstance(other, TupleMultiPoly):
+            return self.scale(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                c = c1 * c2
+                acc = out.get(e)
+                out[e] = c if acc is None else acc + c
+        return TupleMultiPoly(self.nvars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out = TupleMultiPoly.constant(self.nvars, 1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, TupleMultiPoly):
+            if not self.terms:
+                return other == 0
+            zero_exp = tuple([0] * self.nvars)
+            return set(self.terms) == {zero_exp} and self.terms[zero_exp] == other
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    # -- queries -----------------------------------------------------------
+    @property
+    def n_terms(self):
+        return len(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def eval(self, point):
+        """Evaluate at a sequence of numbers (complex allowed)."""
+        total = 0j if any(isinstance(p, complex) for p in point) else 0
+        for exps, coeff in self.terms.items():
+            val = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
+            for i, e in enumerate(exps):
+                if e:
+                    val = val * point[i] ** e
+            total = total + val
+        return total
+
+    def sorted_terms(self):
+        """Graded-lexicographic term order, largest degree first."""
+        return sorted(
+            self.terms.items(), key=lambda item: (-sum(item[0]), item[0])
+        )
+
+    def __repr__(self):
+        shown = self.sorted_terms()[:4]
+        inner = ", ".join(f"{e}:{c}" for e, c in shown)
+        more = "" if self.n_terms <= 4 else f", +{self.n_terms - 4} terms"
+        return f"TupleMultiPoly({self.nvars}, {{{inner}{more}}})"
+
+
+def permute_block(poly, start, length, perm):
+    """Relabel the variables of one block by a permutation.
+
+    Variable ``start + i`` becomes variable ``start + perm.mapping[i]``.
+    """
+    out = {}
+    for exps, coeff in poly.terms.items():
+        new = list(exps)
+        for i in range(length):
+            new[start + perm.mapping[i]] = exps[start + i]
+        key = tuple(new)
+        acc = out.get(key)
+        out[key] = coeff if acc is None else acc + coeff
+    return TupleMultiPoly(poly.nvars, out)
+
+
+def truncate_block_degree(poly, start, length, max_deg):
+    """Drop all terms whose degree in one block exceeds ``max_deg``."""
+    kept = {
+        e: c
+        for e, c in poly.terms.items()
+        if sum(e[start : start + length]) <= max_deg
+    }
+    return TupleMultiPoly(poly.nvars, kept)
+
+
+def mul_truncate_block(f, g, start, length, max_deg):
+    """Product of two polynomials, truncated by block degree on the fly."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        d1 = sum(e1[start : start + length])
+        if d1 > max_deg:
+            continue
+        for e2, c2 in g.terms.items():
+            if d1 + sum(e2[start : start + length]) > max_deg:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            acc = out.get(e)
+            out[e] = c if acc is None else acc + c
+    return TupleMultiPoly(f.nvars, out)
+
+
+def _a_factor(n, j, k):
+    nvars = 2 * n
+    exps = [0] * nvars
+    exps[j] += 1
+    exps[n + k] += 1
+    return TupleMultiPoly(nvars, {tuple([0] * nvars): 1, tuple(exps): -1})
+
+
+def _b_factor(n, j, k):
+    zj, zk, wj, wk = (TupleMultiPoly.variable(2 * n, i) for i in (j, k, n + j, n + k))
+    return (zj - zk) * (wj - wk)
+
+
+def tuple_full_denominator(n):
+    out = TupleMultiPoly.constant(2 * n, 1)
+    for j in range(n):
+        for k in range(j, n):
+            out = out * _a_factor(n, k, j) * _a_factor(n, j, k)
+    return out
+
+
+def tuple_diagonal_denominator(n):
+    out = TupleMultiPoly.constant(2 * n, 1)
+    for j in range(n):
+        out = out * _a_factor(n, j, j) * _a_factor(n, j, j)
+    return out
+
+
+def tuple_kernel_numerator(family, n, l=None):
+    """The numerator of one row of the kernel table, built from the
+    factors of every pair in tuple-keyed arithmetic."""
+    num = TupleMultiPoly.zero(2 * n)
+    for sign, factors in kernel_terms(family, n, l):
+        term = TupleMultiPoly.constant(2 * n, 1)
+        for (j, k), name in zip(combinations(range(n), 2), factors):
+            if name == "symmetric":
+                factor = _a_factor(n, k, j) * _a_factor(n, j, k)
+            elif name == "vandermonde":
+                factor = _b_factor(n, j, k)
+            else:
+                diff = TupleMultiPoly.variable(2 * n, n + j) - TupleMultiPoly.variable(2 * n, n + k)
+                factor = diff * diff
+            term = term * factor
+        num = num + term if sign > 0 else num - term
+    return num

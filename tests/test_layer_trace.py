@@ -1,11 +1,12 @@
-"""The benchmark's layer tracer still sees the annihilation check and the
-n = 3 blow-up.
+"""The benchmark's layer tracer still sees the annihilation check, the
+n = 3 blow-up and the exact identity suite.
 
 ``bergbench/layertrace.py`` wraps package functions by name and fails a
 traced benchmark run when a wrapped layer never fires.  This runs a small
-annihilation check and a small n = 3 blow-up under its ``Tracer``, so that
-a refactor which hides the operator, the tensor reduction, the kernel,
-the family or the weight from it fails here.
+annihilation check, a small n = 3 blow-up and the identity suite up to
+n = 3 under its ``Tracer``, so that a refactor which hides the operator,
+the tensor reduction, the kernel, the family, the weight or the exact
+layer from it fails here.
 """
 
 import math
@@ -19,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bergbench"))
 import layertrace  # noqa: E402
 
 import bergproj.experiments as experiments  # noqa: E402
+import bergproj.symbolic as symbolic  # noqa: E402
 from bergproj.quadrature import singular_disc_rule  # noqa: E402
 
 
@@ -67,3 +69,23 @@ def test_n3_blowup_fires_traced_layers():
     assert metrics["quadrature.reduce_calls"] == 1
     size = singular_disc_rule(experiments.CALIBRATION_S, 5, 8).size
     assert metrics["kernels.kernel_points"] == 2 * math.comb(size + 2, 3)
+
+
+def test_identity_suite_fires_the_exact_layer():
+    # cold caches, so the kernel table and the denominators are built
+    # inside the traced run; the work counts are those of the tuple-keyed
+    # layer, so packing the keys changed the speed of the work, not its size
+    for built in (symbolic.full_denominator, symbolic.diagonal_denominator, symbolic.rational_kernel):
+        built.cache_clear()
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        report = experiments.identity_suite(3, negative_controls=True)
+        metrics = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert report.passed
+    for name in ("MultiPoly.__mul__", "MultiPoly.eval", *layertrace.VERIFIERS):
+        assert tracer.fired[name] > 0, name
+    assert metrics["symbolic.poly_mul_calls"] == 354
+    assert metrics["symbolic.term_products"] == 10362

@@ -10,7 +10,7 @@ Oracles (``oracles.py``):
 
 Invariants: finite nodes and positive weights for every rule family, a
 mass of pi for disc rules, polar nodes inside the disc (in the closed
-disc about a centre on the circle).  Polar weights of the deepest rings
+disc about a centre on or within 1e-9 of the circle).  Polar weights of the deepest rings
 underflow to zero by design (``aux["log_weight"]`` keeps them), so they
 are checked positive wherever their logarithm is above -700 and equal to
 its exponential there.
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bergproj.quadrature as quadrature
@@ -67,7 +67,8 @@ def centers(draw, on_circle=True):
     elif where == "outside":
         modulus = draw(st.floats(min_value=1.001, max_value=3.0))
     else:
-        modulus = 1.0
+        # on the circle, or as near it as the rule still takes for on it
+        modulus = draw(st.sampled_from([1.0, 1.0 - 5e-10, 1.0 + 5e-10]))
     return complex(modulus * np.exp(1j * draw(ANGLES)))
 
 
@@ -135,14 +136,14 @@ class TestRuleInvariants:
 
     @settings(max_examples=40, deadline=None)
     @given(center=centers(), radial=ORDERS, angular=ORDERS, cutoff=CUTOFFS)
+    @example(center=1.0 + 5e-10, radial=8, angular=8, cutoff=1e-12)
+    @example(center=1.0 - 5e-10, radial=8, angular=8, cutoff=1e-12)
+    @example(center=complex(np.exp(0.7j) * (1.0 + 5e-10)), radial=8, angular=8, cutoff=1e-12)
     def test_polar_rule(self, center, radial, angular, cutoff):
         rule = polar_rule_at(center, radial, angular, cutoff)
         assert np.all(np.isfinite(rule.nodes))
         if abs(abs(center) - 1.0) < 1e-9:
-            # about a centre on the circle, nodes within about 1e-16 of
-            # the centre round onto the circle: the closed disc, to the
-            # last bit of the sum centre + rho exp(i phi)
-            assert np.max(np.abs(rule.nodes)) <= 1.0 + 2 * np.finfo(float).eps
+            assert np.max(np.abs(rule.nodes)) <= 1.0
         else:
             assert np.max(np.abs(rule.nodes)) < 1.0
         log_weight = rule.aux["log_weight"]
