@@ -47,8 +47,9 @@ from .quadrature import (
     WeightSpec,
     _check_finite,
     _on_circle,
-    chunk_slices,
     disc_rule,
+    pairwise_parts,
+    pairwise_total,
     refine,
     singular_disc_rule,
     symmetric_blocks,
@@ -269,65 +270,75 @@ def _norm_sums(n, s, rule, p_list, constant):
 
     These are the sums whose p-th roots :func:`weighted_lp_norm` returns,
     against the squared-Vandermonde weight over the symmetric blocks of
-    ``rule``, here evaluated from per-node factor tables and pair tables
-    with the same products and the same summation tree.  The weight of
-    each node pair is tabulated once per rule.  At n >= 3 every block
-    reads the pairs (j, k) at or above its prefix, so the pair sums of
-    :func:`_pair_sums` are tabulated once per rule too and each block
-    reads them as contiguous slices; at n = 2 the one block computes them
-    part by part.  Blocks are evaluated ``BLOCK_CHUNK`` tuples at a time,
-    which keeps their temporaries small, and each sum runs once over its
-    whole block.  Returns ``{"h": [...], "image": [...]}`` with one entry
-    per p: the sum, or the :class:`OverflowInIntegrand` its integrand
-    raised.
+    ``rule``, here evaluated from per-node factor tables with the same
+    products and the same summation tree.  Each block is evaluated in the
+    parts of :func:`pairwise_parts`, at most ``BLOCK_CHUNK`` tuples each,
+    which keeps every buffer small: a part's values are summed at every p
+    as soon as they are made, and the part sums are added along numpy's
+    pairwise tree, which gives each block's ``np.sum`` bit for bit.  At
+    n >= 3 every block reads the pairs (j, k) at or above its prefix, so
+    the pair weights and the pair sums of :func:`_pair_sums` are
+    tabulated once per rule and read as contiguous slices; at n = 2 the
+    one block computes them part by part from the part's own pairs, so
+    nothing of the pair triangle's length is held.  Returns
+    ``{"h": [...], "image": [...]}`` with one entry per p: the sum, or the
+    :class:`OverflowInIntegrand` its integrand raised.
     """
     factors = family_factors(n, s, rule.nodes)
     nodes = rule.nodes
 
     def pair_weight(j, k):
-        yield JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
+        return JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
 
-    pairs = PairTable(rule.size, pair_weight)
+    pairs = PairTable(rule.size, lambda j, k: [pair_weight(j, k)]) if n > 2 else None
     sums = PairTable(rule.size, partial(_pair_sums, n, factors)) if n > 2 else None
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    for prefix, j, k, tensor_weight in symmetric_blocks(rule.weights, n):
-        (own,), rows = pairs.block_views(prefix)
-        tails = sums.block_views(prefix)[0] if sums else None
+    for prefix, length, tuples in symmetric_blocks(rule.weights, n):
+        if pairs:
+            (own,), rows = pairs.block_views(prefix)
+            tails = sums.block_views(prefix)[0]
         g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
-        weight = np.empty(len(j)) if prefix else own
-        values = {"h": np.empty(len(j)), "image": np.empty(len(j))}
-        parts = chunk_slices(len(j), BLOCK_CHUNK)
-        for part in parts:
-            jp, kp = j[part], k[part]
-            if prefix:
-                weight[part] = _prefix_weight(rows, prefix, jp, kp) * own[part]
-            if tails:
+        part_sums = []
+        for part in pairwise_parts(length, BLOCK_CHUNK):
+            j, k, tensor_weight = tuples(part)
+            if pairs:
+                weight = own[part]
+                if prefix:
+                    weight = _prefix_weight(rows, prefix, j, k) * weight
                 g_sum, g_prod, r_sum, r_prod, c_prod = (tail[part] for tail in tails)
             else:
-                g_sum, g_prod, r_sum, r_prod, c_prod = _pair_sums(n, factors, jp, kp)
+                weight = pair_weight(j, k)
+                g_sum, g_prod, r_sum, r_prod, c_prod = _pair_sums(n, factors, j, k)
             # each value is taken in modulus in the expression that makes it,
             # so that no complex temporary outlives its part; numpy then
             # reuses the shape's temporary for the product with the
             # constant, as it always has
-            values["h"][part] = np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod))
-            values["image"][part] = np.abs(
-                constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
-            )
-        summands = np.empty(len(j))
-        for kind, absolute in values.items():
-            for index, p in enumerate(p_list):
-                if isinstance(out[kind][index], Exception):
-                    continue
-                try:
-                    for part in parts:
-                        integrand = absolute[part] ** p * weight[part]
-                        where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+            values = {
+                "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
+                "image": np.abs(
+                    constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
+                ),
+            }
+            part_sum = np.zeros((2, len(p_list)))
+            for row, (kind, absolute) in enumerate(values.items()):
+                for index, p in enumerate(p_list):
+                    if isinstance(out[kind][index], Exception):
+                        continue
+                    integrand = absolute**p * weight
+                    where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                    try:
                         _check_finite(integrand, where)
-                        np.multiply(tensor_weight[part], integrand, out=summands[part])
-                except OverflowInIntegrand as exc:
-                    out[kind][index] = exc
-                    continue
-                out[kind][index] += np.sum(summands)
+                    except OverflowInIntegrand as exc:
+                        out[kind][index] = exc
+                        continue
+                    integrand *= tensor_weight
+                    part_sum[row, index] = np.sum(integrand)
+            part_sums.append(part_sum)
+        total = pairwise_total(part_sums, length, BLOCK_CHUNK)
+        for row, kind in enumerate(out):
+            for index, value in enumerate(total[row]):
+                if not isinstance(out[kind][index], Exception):
+                    out[kind][index] += value
     return out
 
 

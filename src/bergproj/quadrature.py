@@ -18,8 +18,12 @@ in chunks.  For integrands symmetric under coordinate permutations the sum
 runs over sorted index n-tuples only, each with its multiset multiplicity
 n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
 prefix of the first n - 2 indices, covering the upper triangle of the last
-two.  A ``PairTable`` holds functions of two nodes for every pair of a
-rule, built once and read block by block without gathering.
+two, and builds any slice of a block on its own.  A block can then be
+summed part by part: ``pairwise_parts`` cuts it where numpy's pairwise
+summation splits it, and ``pairwise_total`` adds the part sums back to the
+whole block's ``np.sum``, bit for bit.  A ``PairTable`` holds functions of
+two nodes for every pair of a rule, built once and read block by block
+without gathering.
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
 ``legendre_nodes``, which computes them once per order on first use and
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -364,8 +369,10 @@ def _check_finite(values, where):
 INTEGRAND_CHUNK = 1 << 18
 
 #: tuples per part when a symmetric block or a pair table is evaluated
-#: piecewise; it must stay at or above 2^15 so that the parts of a cut
-#: n = 2 block round as the whole block does (see :func:`chunk_slices`)
+#: piecewise.  A block that is cut has no part shorter than 2^15 tuples,
+#: half of this, whether it is cut by :func:`chunk_slices` or at the
+#: leaves of :func:`pairwise_parts`, so that the parts round as the whole
+#: block does (see :func:`chunk_slices`)
 BLOCK_CHUNK = 1 << 16
 
 
@@ -374,23 +381,26 @@ def _triangle_start(size, row):
     return row * size - row * (row - 1) // 2
 
 
-def triangle_indices(size):
-    """``np.triu_indices(size)`` as int32 arrays, built without int64
-    temporaries: the row j and column k of every pair j <= k, row by row.
+def triangle_indices(size, start, stop):
+    """The pairs at offsets ``start`` to ``stop`` of the packed upper
+    triangle ``np.triu_indices(size)``, as int32 arrays built without
+    int64 temporaries of their length: the row j and column k of every
+    pair j <= k, row by row.
 
     Gather with them through ``take``: indexing converts int32 indices to
     intp first, which made a gather about three times slower.
     """
-    total = _triangle_start(size, size)
+    starts = _triangle_start(size, np.arange(size + 1))
+    total = int(starts[-1])
     if total > np.iinfo(np.int32).max:
         raise ValueError(f"{size} nodes have too many pairs for int32 indices")
-    # per-row values stay int64: start(j) - j fits int32, j (size - 1) may not
-    rows = np.arange(size)
-    counts = size - rows
+    # the rows that hold offsets start to stop - 1, and how many each holds
+    rows = np.arange(np.searchsorted(starts, start, "right") - 1, np.searchsorted(starts, stop))
+    counts = np.minimum(starts[rows + 1], stop) - np.maximum(starts[rows], start)
     j = np.repeat(rows.astype(np.int32), counts)
     # the pair at offset t of row j has column t - (start(j) - j)
-    k = np.arange(total, dtype=np.int32)
-    k -= np.repeat((rows * (size - 1) - rows * (rows - 1) // 2).astype(np.int32), counts)
+    k = np.arange(start, stop, dtype=np.int32)
+    k -= np.repeat((starts[rows] - rows).astype(np.int32), counts)
     return j, k
 
 
@@ -407,43 +417,120 @@ def chunk_slices(length, chunk):
     """
     count = max(1, -(-length // chunk))
     step = max(1, -(-length // count))
-    return [slice(lo, lo + step) for lo in range(0, length, step)]
+    return [slice(lo, min(lo + step, length)) for lo in range(0, length, step)]
+
+
+def _pairwise_half(length):
+    """Where numpy's float64 pairwise summation splits ``length`` values:
+    the length of its first half, a multiple of 8."""
+    half = length // 2
+    return half - half % 8
+
+
+def pairwise_parts(length, leaf):
+    """Slices covering range(length), cut where numpy's float64 pairwise
+    summation splits it, and cut again in each half, until no part holds
+    more than ``leaf`` values.
+
+    numpy sums more than 128 contiguous float64 values as the sum of its
+    two halves, so the sums of these parts, added by :func:`pairwise_total`,
+    give ``np.sum`` of the whole bit for bit (for ``leaf`` >= 128).  With a
+    ``leaf`` of 2^16 no part of a cut range is shorter than 2^15.
+    """
+    if length <= leaf:
+        return [slice(0, length)]
+    half = _pairwise_half(length)
+    right = pairwise_parts(length - half, leaf)
+    return pairwise_parts(half, leaf) + [slice(p.start + half, p.stop + half) for p in right]
+
+
+def pairwise_total(sums, length, leaf):
+    """The sums of the parts of ``pairwise_parts(length, leaf)``, given in
+    order, added along numpy's pairwise tree: equal to ``np.sum`` of the
+    whole.  The sums may be arrays of several sums each, added elementwise.
+    """
+    sums = iter(sums)
+
+    def total(length):
+        if length <= leaf:
+            return next(sums)
+        half = _pairwise_half(length)
+        return total(half) + total(length - half)
+
+    return total(length)
+
+
+def _block(weights, starts, pairs, n, prefix):
+    """The length and the ``tuples`` function of the block of ``prefix``
+    (see :func:`symmetric_blocks`); ``pairs(lo, hi)`` returns the indices
+    of the pairs at offsets lo to hi of the packed triangle."""
+    size = len(weights)
+    low = prefix[-1] if prefix else 0
+    first = int(starts[low])
+    fact = [math.factorial(c) for c in range(n + 1)]
+    counts = Counter(prefix)
+    at_low = counts.pop(low, 0)
+    others = math.prod(fact[c] for c in counts.values())
+    # below the first row j > low, so only a doubled last pair adds a
+    # count; the first row (j = low) holds one more copy of low, and its
+    # first tuple (low, low) two more
+    mult = fact[n] / (others * fact[at_low])
+    mult_diagonal = fact[n] / (others * fact[at_low] * 2.0)
+    mult_first_row = fact[n] / (others * fact[at_low + 1])
+    mult_first = fact[n] / (others * fact[at_low + 2])
+    prefix_weight = math.prod(weights[i] for i in prefix)
+
+    def tuples(part):
+        lo, hi = first + part.start, first + part.stop
+        j, k = pairs(lo, hi)
+        out = np.full(hi - lo, mult)
+        # every row opens with its diagonal pair (j, j); the first row
+        # (j = low) is set after
+        rows = slice(np.searchsorted(starts, lo), np.searchsorted(starts, hi))
+        out[starts[rows] - lo] = mult_diagonal
+        out[: max(0, size - low - part.start)] = mult_first_row
+        if part.start == 0 and hi > lo:
+            out[0] = mult_first
+        out *= prefix_weight * weights.take(j) * weights.take(k)
+        return j, k, out
+
+    return int(starts[size]) - first, tuples
 
 
 def symmetric_blocks(weights, n):
     """Sorted index n-tuples of a rule with these weights, block by block.
 
-    Yields ``(prefix, j, k, weight)`` for each sorted prefix of the first
-    n - 2 indices, in lexicographic order: the last two indices ``j <= k``
-    run over the upper triangle at or above the prefix's last index, and
-    ``weight`` is each tuple's multiset multiplicity n!/prod(c!) times its
-    tensor weight, multiplied as ``mult * (prod(prefix weights) * w_j *
-    w_k)``.  With unit weights the multiplicities over all blocks sum to
-    size**n.
+    Yields ``(prefix, length, tuples)`` for each sorted prefix of the
+    first n - 2 indices, in lexicographic order.  The block's last two
+    indices ``j <= k`` run over the ``length`` pairs of the upper triangle
+    at or above the prefix's last index, in ``np.triu_indices`` order, and
+    ``tuples(part)`` returns ``(j, k, weight)`` for the slice ``part`` of
+    them: ``weight`` is each tuple's multiset multiplicity n!/prod(c!)
+    times its tensor weight, multiplied as ``mult * (prod(prefix weights)
+    * w_j * w_k)`` and built for that slice alone.  At n = 2, where the one
+    block is the whole triangle, ``j`` and ``k`` are built for the slice
+    too, so a block streamed part by part holds nothing of its length; at
+    n >= 3 they are views of one int32 triangle shared by every block.
+    With unit weights the multiplicities over all blocks sum to size**n.
     """
     if n < 2:
         raise ValueError("symmetric blocks need n >= 2")
     weights = np.asarray(weights)
     size = len(weights)
-    j_all, k_all = triangle_indices(size)
-    fact = [math.factorial(c) for c in range(n + 1)]
+    starts = _triangle_start(size, np.arange(size + 1))
+    if n > 2:
+        # every block is a tail of the same triangle: build its indices once
+        j_all, k_all = triangle_indices(size, 0, int(starts[-1]))
+
+        def pairs(lo, hi):
+            return j_all[lo:hi], k_all[lo:hi]
+
+    else:
+        # one block: each part builds its own, and nothing of the
+        # triangle's length is held
+        pairs = partial(triangle_indices, size)
     for prefix in combinations_with_replacement(range(size), n - 2):
-        low = prefix[-1] if prefix else 0
-        start = _triangle_start(size, low)
-        j, k = j_all[start:], k_all[start:]
-        counts = Counter(prefix)
-        at_low = counts.pop(low, 0)
-        others = math.prod(fact[c] for c in counts.values())
-        # below the first row j > low, so only a doubled last pair adds a
-        # count; the first row (j = low) holds one more copy of low, and its
-        # first tuple (low, low) two more
-        mult = fact[n] / (others * fact[at_low] * np.where(j == k, 2.0, 1.0))
-        mult[: size - low] = fact[n] / (others * fact[at_low + 1])
-        mult[0] = fact[n] / (others * fact[at_low + 2])
-        prefix_weight = math.prod(weights[i] for i in prefix)
-        for part in chunk_slices(len(j), BLOCK_CHUNK):
-            mult[part] *= prefix_weight * weights.take(j[part]) * weights.take(k[part])
-        yield prefix, j, k, mult
+        yield (prefix, *_block(weights, starts, pairs, n, prefix))
 
 
 class PairTable:
@@ -459,19 +546,19 @@ class PairTable:
 
     def __init__(self, size, f):
         self.size = size
-        j, k = triangle_indices(size)
+        total = _triangle_start(size, size)
         self.values = []
-        for part in chunk_slices(len(j), BLOCK_CHUNK):
-            for index, value in enumerate(f(j[part], k[part])):
+        for part in chunk_slices(total, BLOCK_CHUNK):
+            for index, value in enumerate(f(*triangle_indices(size, part.start, part.stop))):
                 if index == len(self.values):
-                    self.values.append(np.empty(len(j), dtype=value.dtype))
+                    self.values.append(np.empty(total, dtype=value.dtype))
                 self.values[index][part] = value
 
     def block_views(self, prefix):
         """Views of the tables for the symmetric block of ``prefix``.
 
         Returns ``(own, rows)``: ``own`` holds, per table, the block's
-        pairs (j, k), aligned with its ``j`` and ``k``; ``rows`` holds, for
+        pairs (j, k), in the order of its ``tuples``; ``rows`` holds, for
         each prefix index i, the first table's pairs (i, column) indexed by
         the column, valid at columns >= i (every later prefix index, and
         every j and k).
@@ -508,7 +595,8 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     size = len(nodes)
     if symmetric and n > 1:
         acc = 0.0 + 0.0j
-        for prefix, j, k, weight in symmetric_blocks(weights, n):
+        for prefix, length, tuples in symmetric_blocks(weights, n):
+            j, k, weight = tuples(slice(0, length))
             parts = []
             for part in chunk_slices(len(j), chunk):
                 columns = [np.full(len(j[part]), nodes[i]) for i in prefix]

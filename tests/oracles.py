@@ -302,7 +302,8 @@ def norm_sums(n, s, rule, p_list, constant):
         table[part] = JACOBIAN_SQUARED.evaluate(pairs)
     del j_all, k_all
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    for prefix, j, k, tensor_weight in symmetric_blocks(rule.weights, n):
+    for prefix, length, tuples in symmetric_blocks(rule.weights, n):
+        j, k, tensor_weight = tuples(slice(0, length))
         rows = [table[_triangle_start(size, i) - i :] for i in prefix]
         own = table[_triangle_start(size, prefix[-1] if prefix else 0) :]
         weight = np.empty(len(j)) if prefix else own

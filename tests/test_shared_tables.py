@@ -11,22 +11,27 @@ them again each time (``oracles.py``), bit for bit:
   ``symmetric_blocks`` and ``PairTable`` read, as int32.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergproj.experiments as experiments
-from bergproj.errors import PoleProximity
+from bergproj.errors import OverflowInIntegrand, PoleProximity
 from bergproj.experiments import (
     DEFAULT_NORM_ORDERS,
+    REFINE_FACTORS,
     _calibrate_image_constant,
     _norm_sums,
 )
 from bergproj.kernels import KernelSpec
 from bergproj.quadrature import (
     BLOCK_CHUNK,
-    chunk_slices,
+    QuadratureRule,
+    pairwise_parts,
+    refine,
     singular_disc_rule,
     triangle_indices,
 )
@@ -173,16 +178,52 @@ class TestNormSums:
         expected = norm_sums(n, s, rule, p_list, constant)
         same_sums(_norm_sums(n, s, rule, p_list, constant), expected)
 
+    @staticmethod
+    def cut_rule(n):
+        """A rule whose first block is cut: at n = 2 the refined default
+        rule at s = 0.99, 1,440 nodes whose one block of 1,037,520 pairs
+        is cut four levels deep; at n = 3 a rule of 390 nodes, whose first
+        blocks are cut in two."""
+        if n == 2:
+            return refine(singular_disc_rule(0.99, *DEFAULT_NORM_ORDERS[2]), *REFINE_FACTORS[2])
+        return singular_disc_rule(0.99, 6, 13)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_cut_blocks(self, n):
-        # 390 nodes: the n = 2 block and the first n = 3 blocks hold more
-        # than BLOCK_CHUNK pairs and are cut into parts
-        rule = singular_disc_rule(0.99, 6, 13)
-        assert len(chunk_slices(rule.size * (rule.size + 1) // 2, BLOCK_CHUNK)) > 1
+        rule = self.cut_rule(n)
+        parts = pairwise_parts(rule.size * (rule.size + 1) // 2, BLOCK_CHUNK)
+        assert len(parts) >= (8 if n == 2 else 2)
         p_list = [2.0 * n / (n - 1.0), 1.5]
         constant = 0.37 - 0.81j
         expected = norm_sums(n, 0.99, rule, p_list, constant)
         same_sums(_norm_sums(n, 0.99, rule, p_list, constant), expected)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n,p", [(2, 74.0), (3, 26.0)])
+    def test_overflow_in_a_later_part(self, n, p):
+        # with the nodes nearest the singularity last, |h|^p overflows in
+        # the second part of the first block but not in its first part;
+        # the small constant keeps every image finite
+        rule = singular_disc_rule(0.99, 6, 13)
+        rule = QuadratureRule(rule.nodes[::-1].copy(), rule.weights[::-1].copy(), rule.descriptor)
+        p_list = [2.0, p, 3.0]
+        got = _norm_sums(n, 0.99, rule, p_list, 1e-6)
+        expected = norm_sums(n, 0.99, rule, p_list, 1e-6)
+        overflow = got["h"].pop(1)
+        old = expected["h"].pop(1)
+        assert type(overflow) is type(old) is OverflowInIntegrand
+        same_sums(got, expected)
+        # the same tuple is named, from the start of the part it lies in
+        # (the first block holds every pair at both n)
+        where = re.compile(r"node #(\d+) \(symmetric n=(\d), prefix=(.*), from (\d+)\)$")
+        node, got_n, prefix, start = where.search(str(overflow)).groups()
+        old_node, _, old_prefix, old_start = where.search(str(old)).groups()
+        first = "()" if n == 2 else "(0,)"
+        assert (int(got_n), prefix, old_prefix) == (n, first, first)
+        assert int(start) > 0
+        pairs = rule.size * (rule.size + 1) // 2
+        assert int(start) in [part.start for part in pairwise_parts(pairs, BLOCK_CHUNK)]
+        assert int(start) + int(node) == int(old_start) + int(old_node)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n", [2, 3])
@@ -199,11 +240,11 @@ class TestNormSums:
 class TestTriangleIndices:
     @pytest.mark.parametrize("size", [0, 1, 2, 3, 17, 300])
     def test_matches_triu_indices(self, size):
-        j, k = triangle_indices(size)
+        j, k = triangle_indices(size, 0, size * (size + 1) // 2)
         assert j.dtype == k.dtype == np.int32
         expected = np.triu_indices(size)
         assert np.array_equal(j, expected[0]) and np.array_equal(k, expected[1])
 
     def test_refuses_more_pairs_than_int32_holds(self):
         with pytest.raises(ValueError, match="int32"):
-            triangle_indices(1 << 16)
+            triangle_indices(1 << 16, 0, 1)

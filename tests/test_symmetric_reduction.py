@@ -35,6 +35,7 @@ from bergproj.quadrature import (
     chunk_slices,
     disc_rule,
     integrate_polydisc,
+    pairwise_parts,
     refine,
     singular_disc_rule,
     symmetric_blocks,
@@ -81,13 +82,15 @@ rules = st.builds(
 class TestSymmetricBlocks:
     @pytest.mark.parametrize("size,n", [(1, 2), (5, 2), (4, 3), (6, 3), (3, 4), (5, 4), (4, 5)])
     def test_multiplicities_sum_to_full_count(self, size, n):
-        total = sum(np.sum(mult) for *_, mult in symmetric_blocks(np.ones(size), n))
+        blocks = symmetric_blocks(np.ones(size), n)
+        total = sum(np.sum(tuples(slice(0, length))[2]) for _, length, tuples in blocks)
         assert total == size**n
 
     @pytest.mark.parametrize("size,n", [(5, 2), (4, 3), (4, 4)])
     def test_blocks_cover_each_sorted_tuple_once(self, size, n):
         seen = []
-        for prefix, j, k, mult in symmetric_blocks(np.ones(size), n):
+        for prefix, length, tuples in symmetric_blocks(np.ones(size), n):
+            j, k, mult = tuples(slice(0, length))
             for jj, kk, m in zip(j, k, mult):
                 key = prefix + (int(jj), int(kk))
                 assert list(key) == sorted(key)
@@ -204,7 +207,7 @@ class TestCutBlocks:
         return len(chunk_slices(rule.size * (rule.size + 1) // 2, chunk))
 
     def test_fused_pass_is_bitwise_equal_to_weighted_lp_norm(self, rule):
-        assert self.part_count(rule, BLOCK_CHUNK) > 1
+        assert len(pairwise_parts(rule.size * (rule.size + 1) // 2, BLOCK_CHUNK)) > 1
         p_list = [1.5, 4.0]
         constant = 0.37 - 0.81j
         sums = _norm_sums(2, 0.9, rule, p_list, constant)
