@@ -18,7 +18,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -42,14 +41,12 @@ from .kernels import (
 )
 from .symmetrization import Permutation
 from .quadrature import (
-    BLOCK_CHUNK,
     PairTable,
     WeightSpec,
     _check_finite,
     _on_circle,
     disc_rule,
-    pairwise_parts,
-    pairwise_total,
+    pairwise_sum,
     refine,
     singular_disc_rule,
     symmetric_blocks,
@@ -256,7 +253,7 @@ def _pair_sums(n, factors, j, k):
 
 def _prefix_weight(rows, prefix, j, k):
     """The pair weights that a block's prefix adds to its pairs (j, k),
-    from the rows of :meth:`PairTable.block_views`, multiplied in the order
+    from the rows of :meth:`PairTable.block`, multiplied in the order
     WeightSpec.evaluate multiplies them."""
     factors = []
     for a, row in enumerate(rows):
@@ -271,70 +268,64 @@ def _norm_sums(n, s, rule, p_list, constant):
     These are the sums whose p-th roots :func:`weighted_lp_norm` returns,
     against the squared-Vandermonde weight over the symmetric blocks of
     ``rule``, here evaluated from per-node factor tables with the same
-    products and the same summation tree.  Each block is evaluated in the
-    parts of :func:`pairwise_parts`, at most ``BLOCK_CHUNK`` tuples each,
-    which keeps every buffer small: a part's values are summed at every p
-    as soon as they are made, and the part sums are added along numpy's
-    pairwise tree, which gives each block's ``np.sum`` bit for bit.  At
-    n >= 3 every block reads the pairs (j, k) at or above its prefix, so
-    the pair weights and the pair sums of :func:`_pair_sums` are
-    tabulated once per rule and read as contiguous slices; at n = 2 the
-    one block computes them part by part from the part's own pairs, so
-    nothing of the pair triangle's length is held.  Returns
-    ``{"h": [...], "image": [...]}`` with one entry per p: the sum, or the
-    :class:`OverflowInIntegrand` its integrand raised.
+    products and the same summation tree.  Each block is summed by
+    :func:`pairwise_sum`, in parts of at most ``BLOCK_CHUNK`` tuples, which
+    keeps every buffer small: a part's values are summed at every p as
+    soon as they are made, and the part sums are added along numpy's
+    pairwise tree, which gives each block's ``np.sum`` bit for bit.  The
+    pair weights and the pair sums of :func:`_pair_sums` come from one
+    :class:`PairTable`: tabulated once per rule at n >= 3, where every
+    block reads the pairs (j, k) at or above its prefix, and made part by
+    part at n = 2, so that nothing of the pair triangle's length is held.
+    Returns ``{"h": [...], "image": [...]}`` with one entry per p: the sum,
+    or the :class:`OverflowInIntegrand` its integrand raised.
     """
     factors = family_factors(n, s, rule.nodes)
     nodes = rule.nodes
 
-    def pair_weight(j, k):
-        return JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
+    def pair_values(j, k):
+        yield JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
+        yield from _pair_sums(n, factors, j, k)
 
-    pairs = PairTable(rule.size, lambda j, k: [pair_weight(j, k)]) if n > 2 else None
-    sums = PairTable(rule.size, partial(_pair_sums, n, factors)) if n > 2 else None
+    table = PairTable(rule.size, n, pair_values)
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
     for prefix, length, tuples in symmetric_blocks(rule.weights, n):
-        if pairs:
-            (own,), rows = pairs.block_views(prefix)
-            tails = sums.block_views(prefix)[0]
+        read, rows = table.block(prefix)
         g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
-        part_sums = []
-        for part in pairwise_parts(length, BLOCK_CHUNK):
-            j, k, tensor_weight = tuples(part)
-            if pairs:
-                weight = own[part]
+
+        def part_sums(parts):
+            for part in parts:
+                j, k, tensor_weight = tuples(part)
+                weight, g_sum, g_prod, r_sum, r_prod, c_prod = read(part, j, k)
                 if prefix:
                     weight = _prefix_weight(rows, prefix, j, k) * weight
-                g_sum, g_prod, r_sum, r_prod, c_prod = (tail[part] for tail in tails)
-            else:
-                weight = pair_weight(j, k)
-                g_sum, g_prod, r_sum, r_prod, c_prod = _pair_sums(n, factors, j, k)
-            # each value is taken in modulus in the expression that makes it,
-            # so that no complex temporary outlives its part; numpy then
-            # reuses the shape's temporary for the product with the
-            # constant, as it always has
-            values = {
-                "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
-                "image": np.abs(
-                    constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
-                ),
-            }
-            part_sum = np.zeros((2, len(p_list)))
-            for row, (kind, absolute) in enumerate(values.items()):
-                for index, p in enumerate(p_list):
-                    if isinstance(out[kind][index], Exception):
-                        continue
-                    integrand = absolute**p * weight
-                    where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
-                    try:
-                        _check_finite(integrand, where)
-                    except OverflowInIntegrand as exc:
-                        out[kind][index] = exc
-                        continue
-                    integrand *= tensor_weight
-                    part_sum[row, index] = np.sum(integrand)
-            part_sums.append(part_sum)
-        total = pairwise_total(part_sums, length, BLOCK_CHUNK)
+                # each value is taken in modulus in the expression that makes it,
+                # so that no complex temporary outlives its part; numpy then
+                # reuses the shape's temporary for the product with the
+                # constant, as it always has
+                values = {
+                    "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
+                    "image": np.abs(
+                        constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
+                    ),
+                }
+                sums = np.zeros((2, len(p_list)))
+                for row, (kind, absolute) in enumerate(values.items()):
+                    for index, p in enumerate(p_list):
+                        if isinstance(out[kind][index], Exception):
+                            continue
+                        integrand = absolute**p * weight
+                        where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                        try:
+                            _check_finite(integrand, where)
+                        except OverflowInIntegrand as exc:
+                            out[kind][index] = exc
+                            continue
+                        integrand *= tensor_weight
+                        sums[row, index] = np.sum(integrand)
+                yield sums
+
+        total = pairwise_sum(length, part_sums)
         for row, kind in enumerate(out):
             for index, value in enumerate(total[row]):
                 if not isinstance(out[kind][index], Exception):

@@ -19,11 +19,11 @@ runs over sorted index n-tuples only, each with its multiset multiplicity
 n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
 prefix of the first n - 2 indices, covering the upper triangle of the last
 two, and builds any slice of a block on its own.  A block can then be
-summed part by part: ``pairwise_parts`` cuts it where numpy's pairwise
-summation splits it, and ``pairwise_total`` adds the part sums back to the
-whole block's ``np.sum``, bit for bit.  A ``PairTable`` holds functions of
-two nodes for every pair of a rule, built once and read block by block
-without gathering.
+summed part by part: ``pairwise_sum`` cuts it where numpy's pairwise
+summation splits it and adds the part sums back to the whole block's
+``np.sum``, bit for bit.  A ``PairTable`` holds functions of two nodes at
+the pairs of a rule, tabulated once where several blocks read them
+(n >= 3) and made slice by slice where one block does (n = 2).
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
 ``legendre_nodes``, which computes them once per order on first use and
@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -371,7 +370,7 @@ INTEGRAND_CHUNK = 1 << 18
 #: tuples per part when a symmetric block or a pair table is evaluated
 #: piecewise.  A block that is cut has no part shorter than 2^15 tuples,
 #: half of this, whether it is cut by :func:`chunk_slices` or at the
-#: leaves of :func:`pairwise_parts`, so that the parts round as the whole
+#: leaves of :func:`pairwise_sum`, so that the parts round as the whole
 #: block does (see :func:`chunk_slices`)
 BLOCK_CHUNK = 1 << 16
 
@@ -427,43 +426,50 @@ def _pairwise_half(length):
     return half - half % 8
 
 
-def pairwise_parts(length, leaf):
-    """Slices covering range(length), cut where numpy's float64 pairwise
-    summation splits it, and cut again in each half, until no part holds
-    more than ``leaf`` values.
+def pairwise_sum(length, part_sums):
+    """``np.sum`` of ``length`` float64 values that are made part by part.
 
+    ``part_sums(parts)`` takes an iterator of slices of range(length) and
+    yields the sum of the values in each slice before it takes the next.
+    The slices run from left to right and hold at most ``BLOCK_CHUNK``
+    values: the whole is cut where numpy's pairwise summation splits it,
+    and cut again in each half.  Their sums are added along the same tree.
     numpy sums more than 128 contiguous float64 values as the sum of its
-    two halves, so the sums of these parts, added by :func:`pairwise_total`,
-    give ``np.sum`` of the whole bit for bit (for ``leaf`` >= 128).  With a
-    ``leaf`` of 2^16 no part of a cut range is shorter than 2^15.
+    two halves, so the result is ``np.sum`` of the whole, bit for bit.  The
+    sums may be arrays of several sums each, added elementwise.
+
+    ``part_sums`` is a generator rather than a function of one slice so
+    that a part's arrays live until the next part has made its own: freed
+    together at the end of every part, they let glibc trim the top of its
+    heap and fault it in again, which made the n = 2 norm pass about 1.7
+    times slower.
     """
-    if length <= leaf:
-        return [slice(0, length)]
-    half = _pairwise_half(length)
-    right = pairwise_parts(length - half, leaf)
-    return pairwise_parts(half, leaf) + [slice(p.start + half, p.stop + half) for p in right]
+    # each leaf hands its slice to part_sums through this list
+    handed = []
+    sums = part_sums(iter(handed.pop, None))
 
-
-def pairwise_total(sums, length, leaf):
-    """The sums of the parts of ``pairwise_parts(length, leaf)``, given in
-    order, added along numpy's pairwise tree: equal to ``np.sum`` of the
-    whole.  The sums may be arrays of several sums each, added elementwise.
-    """
-    sums = iter(sums)
-
-    def total(length):
-        if length <= leaf:
+    def total(start, stop):
+        if stop - start <= BLOCK_CHUNK:
+            handed.append(slice(start, stop))
             return next(sums)
-        half = _pairwise_half(length)
-        return total(half) + total(length - half)
+        middle = start + _pairwise_half(stop - start)
+        return total(start, middle) + total(middle, stop)
 
-    return total(length)
+    try:
+        return total(0, length)
+    finally:
+        # part_sums is left suspended after its last sum, holding the last
+        # part's arrays; through the reference cycle of the recursive total
+        # they would stay until the next garbage collection, and the arrays
+        # made after them would pile up above them (the scan_n2 peak rose
+        # from 51 to 75 MB)
+        sums.close()
 
 
 def _block(weights, starts, pairs, n, prefix):
     """The length and the ``tuples`` function of the block of ``prefix``
-    (see :func:`symmetric_blocks`); ``pairs(lo, hi)`` returns the indices
-    of the pairs at offsets lo to hi of the packed triangle."""
+    (see :func:`symmetric_blocks`); ``pairs(part)`` returns the indices j
+    and k of the slice ``part`` of the block's pairs."""
     size = len(weights)
     low = prefix[-1] if prefix else 0
     first = int(starts[low])
@@ -482,7 +488,7 @@ def _block(weights, starts, pairs, n, prefix):
 
     def tuples(part):
         lo, hi = first + part.start, first + part.stop
-        j, k = pairs(lo, hi)
+        j, k = pairs(part)
         out = np.full(hi - lo, mult)
         # every row opens with its diagonal pair (j, j); the first row
         # (j = low) is set after
@@ -507,66 +513,79 @@ def symmetric_blocks(weights, n):
     ``tuples(part)`` returns ``(j, k, weight)`` for the slice ``part`` of
     them: ``weight`` is each tuple's multiset multiplicity n!/prod(c!)
     times its tensor weight, multiplied as ``mult * (prod(prefix weights)
-    * w_j * w_k)`` and built for that slice alone.  At n = 2, where the one
-    block is the whole triangle, ``j`` and ``k`` are built for the slice
-    too, so a block streamed part by part holds nothing of its length; at
-    n >= 3 they are views of one int32 triangle shared by every block.
-    With unit weights the multiplicities over all blocks sum to size**n.
+    * w_j * w_k)`` and built for that slice alone.  ``j`` and ``k`` come
+    from a :class:`PairTable`: at n = 2 they too are built for the slice,
+    so a block streamed part by part holds nothing of its length.  With
+    unit weights the multiplicities over all blocks sum to size**n.
     """
     if n < 2:
         raise ValueError("symmetric blocks need n >= 2")
     weights = np.asarray(weights)
     size = len(weights)
     starts = _triangle_start(size, np.arange(size + 1))
-    if n > 2:
-        # every block is a tail of the same triangle: build its indices once
-        j_all, k_all = triangle_indices(size, 0, int(starts[-1]))
-
-        def pairs(lo, hi):
-            return j_all[lo:hi], k_all[lo:hi]
-
-    else:
-        # one block: each part builds its own, and nothing of the
-        # triangle's length is held
-        pairs = partial(triangle_indices, size)
+    indices = PairTable(size, n, lambda j, k: (j, k))
     for prefix in combinations_with_replacement(range(size), n - 2):
-        yield (prefix, *_block(weights, starts, pairs, n, prefix))
+        read, _ = indices.block(prefix)
+        yield (prefix, *_block(weights, starts, read, n, prefix))
 
 
 class PairTable:
-    """Functions of two nodes, tabulated once per rule at every node pair
-    j <= k and read for each block of :func:`symmetric_blocks`.
+    """Functions of two nodes at every node pair j <= k of a rule, read
+    for each block of :func:`symmetric_blocks` at order ``n``.
 
     ``f`` maps two int32 index arrays j and k of equal length to an
-    iterable of arrays of values at those pairs; it is called on parts of
-    at most ``BLOCK_CHUNK`` pairs, each array is stored as soon as it is
-    yielded, and ``values`` holds one packed table per array, in
-    ``np.triu_indices(size)`` order.
+    iterable of arrays of values at those pairs.  At n >= 3 every block
+    reads the pairs at or above its prefix, so ``f`` is evaluated once per
+    rule, on parts of at most ``BLOCK_CHUNK`` pairs, each array is stored
+    as soon as it is yielded, and ``values`` holds one packed table per
+    array, in ``np.triu_indices(size)`` order.  At n = 2 the one block
+    reads each pair once, so ``f`` is evaluated on each slice as it is
+    read, and nothing of the triangle's length is held (``values`` is
+    None).
     """
 
-    def __init__(self, size, f):
+    def __init__(self, size, n, f):
         self.size = size
-        total = _triangle_start(size, size)
-        self.values = []
-        for part in chunk_slices(total, BLOCK_CHUNK):
-            for index, value in enumerate(f(*triangle_indices(size, part.start, part.stop))):
-                if index == len(self.values):
-                    self.values.append(np.empty(total, dtype=value.dtype))
-                self.values[index][part] = value
+        self.f = f
+        self.values = None
+        if n > 2:
+            total = _triangle_start(size, size)
+            self.values = []
+            for part in chunk_slices(total, BLOCK_CHUNK):
+                for index, value in enumerate(f(*triangle_indices(size, part.start, part.stop))):
+                    if index == len(self.values):
+                        self.values.append(np.empty(total, dtype=value.dtype))
+                    self.values[index][part] = value
 
-    def block_views(self, prefix):
-        """Views of the tables for the symmetric block of ``prefix``.
+    def block(self, prefix):
+        """The tables of the symmetric block of ``prefix``.
 
-        Returns ``(own, rows)``: ``own`` holds, per table, the block's
-        pairs (j, k), in the order of its ``tuples``; ``rows`` holds, for
-        each prefix index i, the first table's pairs (i, column) indexed by
-        the column, valid at columns >= i (every later prefix index, and
-        every j and k).
+        Returns ``(read, rows)``: ``read(part)`` returns, per array of
+        ``f``, the values at the slice ``part`` of the block's pairs
+        (j, k), in the order of its ``tuples``; ``rows`` holds, for each
+        prefix index i, the first table's pairs (i, column) indexed by the
+        column, valid at columns >= i (every later prefix index, and every
+        j and k).  At n = 2 there is no prefix and no row, and
+        ``read(part, j, k)`` evaluates ``f`` at the slice's indices j and k
+        where the caller has built them already, instead of building them
+        again.
         """
+        start = _triangle_start(self.size, prefix[-1] if prefix else 0)
+        if self.values is None:
+
+            def read(part, *pair):
+                lo, hi = start + part.start, start + part.stop
+                return list(self.f(*(pair or triangle_indices(self.size, lo, hi))))
+
+            return read, []
         first = self.values[0]
         rows = [first[_triangle_start(self.size, i) - i :] for i in prefix]
-        start = _triangle_start(self.size, prefix[-1] if prefix else 0)
-        return [table[start:] for table in self.values], rows
+
+        def read(part, *pair):
+            lo, hi = start + part.start, start + part.stop
+            return [table[lo:hi] for table in self.values]
+
+        return read, rows
 
 
 def _batch_total(acc):

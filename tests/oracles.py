@@ -52,6 +52,7 @@ from bergproj.quadrature import (
     _radial_panels,
     _triangle_start,
     chunk_slices,
+    pairwise_sum,
     symmetric_blocks,
 )
 from bergproj.symbolic import GaussianRational, kernel_terms
@@ -554,3 +555,11 @@ def tuple_kernel_numerator(family, n, l=None):
             term = term * factor
         num = num + term if sign > 0 else num - term
     return num
+
+
+def pairwise_leaves(length):
+    """The slices that ``pairwise_sum`` cuts range(length) into, in the
+    order it sums them."""
+    leaves = []
+    pairwise_sum(length, lambda parts: (leaves.append(part) or 0.0 for part in parts))
+    return leaves

@@ -28,15 +28,13 @@ from bergproj.experiments import (
 )
 from bergproj.kernels import KernelSpec
 from bergproj.quadrature import (
-    BLOCK_CHUNK,
     QuadratureRule,
-    pairwise_parts,
     refine,
     singular_disc_rule,
     triangle_indices,
 )
 from bergproj.symbolic import KERNEL_TABLE
-from oracles import kernel_evaluate, norm_sums, symmetrized_kernel
+from oracles import kernel_evaluate, norm_sums, pairwise_leaves, symmetrized_kernel
 
 
 def kernel_specs(n):
@@ -191,7 +189,7 @@ class TestNormSums:
     @pytest.mark.parametrize("n", [2, 3])
     def test_cut_blocks(self, n):
         rule = self.cut_rule(n)
-        parts = pairwise_parts(rule.size * (rule.size + 1) // 2, BLOCK_CHUNK)
+        parts = pairwise_leaves(rule.size * (rule.size + 1) // 2)
         assert len(parts) >= (8 if n == 2 else 2)
         p_list = [2.0 * n / (n - 1.0), 1.5]
         constant = 0.37 - 0.81j
@@ -222,7 +220,7 @@ class TestNormSums:
         assert (int(got_n), prefix, old_prefix) == (n, first, first)
         assert int(start) > 0
         pairs = rule.size * (rule.size + 1) // 2
-        assert int(start) in [part.start for part in pairwise_parts(pairs, BLOCK_CHUNK)]
+        assert int(start) in [part.start for part in pairwise_leaves(pairs)]
         assert int(start) + int(node) == int(old_start) + int(old_node)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

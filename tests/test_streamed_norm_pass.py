@@ -1,12 +1,12 @@
 """The fused norm pass streamed part by part.
 
-* The sums of the parts of ``pairwise_parts``, added by
-  ``pairwise_total``, equal ``np.sum`` of the whole bit for bit.  This
-  pins numpy's float64 pairwise summation: a numpy that splits its sums
-  elsewhere fails here by name, where the norm pass would only drift by
-  about 1e-9 in the scan's refinement deltas.
-* ``triangle_indices`` and the ``tuples`` of ``symmetric_blocks``, built
-  for a slice alone, equal that slice of the whole.
+* ``pairwise_sum`` of part sums equals ``np.sum`` of the whole bit for
+  bit.  This pins numpy's float64 pairwise summation: a numpy that splits
+  its sums elsewhere fails here by name, where the norm pass would only
+  drift by about 1e-9 in the scan's refinement deltas.
+* ``triangle_indices``, the ``tuples`` of ``symmetric_blocks`` and a
+  ``PairTable`` read at n = 2, built for a slice alone, equal that slice
+  of the whole.
 * The n = 2 pass holds no array as long as its pair triangle.
 """
 
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from bergproj.experiments import _norm_sums
 from bergproj.quadrature import (
     BLOCK_CHUNK,
-    pairwise_parts,
-    pairwise_total,
+    PairTable,
+    pairwise_sum,
     refine,
     singular_disc_rule,
     symmetric_blocks,
@@ -40,18 +40,24 @@ def spread_values(seed, length):
 
 
 def assert_sums_on_numpys_tree(values):
-    parts = pairwise_parts(len(values), BLOCK_CHUNK)
+    parts = []
+
+    def part_sums(slices):
+        for part in slices:
+            parts.append(part)
+            yield np.sum(values[part])
+
+    total = pairwise_sum(len(values), part_sums)
     covered = np.concatenate([np.arange(len(values))[part] for part in parts])
     assert np.array_equal(covered, np.arange(len(values)))
     lengths = [part.stop - part.start for part in parts]
     assert max(lengths) <= BLOCK_CHUNK
     if len(parts) > 1:
         assert min(lengths) >= BLOCK_CHUNK // 2
-    total = pairwise_total([np.sum(values[part]) for part in parts], len(values), BLOCK_CHUNK)
     assert float(total).hex() == float(np.sum(values)).hex()
 
 
-class TestPairwiseParts:
+class TestPairwiseSum:
     @pytest.mark.parametrize("length", LENGTHS)
     def test_edge_lengths(self, length):
         assert_sums_on_numpys_tree(spread_values(length, length))
@@ -63,11 +69,25 @@ class TestPairwiseParts:
 
     def test_sums_of_several_values_add_elementwise(self):
         values = np.stack([spread_values(seed, 5 * BLOCK_CHUNK + 3) for seed in (1, 2)])
-        parts = pairwise_parts(values.shape[1], BLOCK_CHUNK)
-        sums = [np.sum(values[:, part], axis=1) for part in parts]
-        total = pairwise_total(sums, values.shape[1], BLOCK_CHUNK)
+        total = pairwise_sum(
+            values.shape[1], lambda parts: (np.sum(values[:, part], axis=1) for part in parts)
+        )
         for row, value in zip(values, total, strict=True):
             assert float(value).hex() == float(np.sum(row)).hex()
+
+    def test_part_sums_ends_when_the_sum_returns(self):
+        # a suspended part_sums would hold its last part's arrays
+        ended = []
+
+        def part_sums(parts):
+            try:
+                for part in parts:
+                    yield float(part.stop - part.start)
+            finally:
+                ended.append(True)
+
+        assert pairwise_sum(3 * BLOCK_CHUNK + 5, part_sums) == 3 * BLOCK_CHUNK + 5
+        assert ended == [True]
 
 
 class TestTriangleParts:
@@ -82,6 +102,24 @@ class TestTriangleParts:
         expected = np.triu_indices(size)
         assert np.array_equal(j, expected[0][start:stop])
         assert np.array_equal(k, expected[1][start:stop])
+
+
+class TestStreamedPairTable:
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.integers(1, 40), data=st.data())
+    def test_reads_equal_the_tabulated_table(self, size, data):
+        def f(j, k):
+            return [j * 1.5 - k, (j + 1) * (k + 2)]
+
+        total = size * (size + 1) // 2
+        start = data.draw(st.integers(0, total))
+        part = slice(start, data.draw(st.integers(start, total)))
+        streamed, rows = PairTable(size, 2, f).block(())
+        assert PairTable(size, 2, f).values is None and rows == []
+        tabulated, _ = PairTable(size, 3, f).block(())
+        given = streamed(part, *triangle_indices(size, part.start, part.stop))
+        for got, again, expected in zip(streamed(part), given, tabulated(part), strict=True):
+            assert got.tobytes() == again.tobytes() == expected.tobytes()
 
 
 def expected_block(weights, n, prefix):
