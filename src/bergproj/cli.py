@@ -7,7 +7,9 @@ codes: 0 when the report passed, 2 when a verification fails (for
 ``bekolle-bonami``, a p whose estimate is finite or divergent against the
 weight-class range) or an input is invalid, 3 when quadrature refused to
 converge, 4 when any other package error (a ``BergprojError``, such as
-an overflowing integrand) ended the run.
+an overflowing integrand, or ``InvalidRule`` for a quadrature rule built
+with a non-finite node, a node outside the closed disc or a weight that
+is not positive) ended the run.
 """
 
 from __future__ import annotations

@@ -52,3 +52,9 @@ class AmbiguousFit(BergprojError):
 
 class InterpolationInconsistent(BergprojError):
     """An exactly interpolated polynomial failed its out-of-sample checks."""
+
+
+class InvalidRule(BergprojError):
+    """A quadrature rule broke an invariant when it was built: a node that
+    is not finite or lies outside the closed unit disc, or a weight that
+    is not positive."""

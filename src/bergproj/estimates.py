@@ -10,6 +10,12 @@ Three independent pillars support the operator experiments:
 * Carleson tents ``T_z`` (boundary discs of radius 1-|z|) carry the
   two-weight averages whose supremum is the Bekolle-Bonami constant;
   ``bekolle_bonami_estimate`` samples that supremum over an apex grid.
+  Its rules -- the tent rules, the whole-disc disc rules and the two
+  graded polar rules -- depend on the weight's points and the rule
+  order but not on p, so they are built once per weight table (points,
+  order) and shared, read-only, by every p of it.  The memo holds one
+  table at a time: the rules of a table are dropped before the first
+  rule of another is built.
 * ``sector_annulus_integral`` integrates |1-zs|^(-k) over the annular
   sector around 1/s that drives the lower bounds in the blow-up
   experiments, in closed form and by an independent polar cubature.
@@ -223,7 +229,38 @@ def tent_rule(tent, order):
     )
 
 
-def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0]):
+#: the rules of the last weight table, by (table, builder, arguments); see
+#: ``_table_rule``
+_TABLE_RULES = {}
+
+
+def _table_rule(table, builder, *args):
+    """``builder(*args)``, built once for the weight table ``table``.
+
+    A table is the pair (weight points, rule order) of a run of
+    ``bekolle_bonami_estimate`` over p: its tent rules and graded rules
+    depend on neither p nor the exponent, so every p of the table shares
+    them.  The memo holds one table at a time and is emptied before the
+    first rule of another table is built.  The rules it holds have
+    read-only arrays.  Callers pass the builder as this module names it,
+    so a replacement of that name builds, and is keyed by, itself.
+    """
+    key = (table, builder, *args)
+    rule = _TABLE_RULES.get(key)
+    if rule is None:
+        if _TABLE_RULES and next(iter(_TABLE_RULES))[0] != table:
+            _TABLE_RULES.clear()
+        rule = builder(*args)
+        for array in (rule.nodes, rule.weights, *(rule.aux or {}).values()):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        _TABLE_RULES[key] = rule
+    return rule
+
+
+def tent_average(
+    weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0], table=None
+):
     """Average of weight^power over the tent.
 
     Point-product weights raised to a negative total exponent are
@@ -231,7 +268,11 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
     singular point, and the singular factor is evaluated from the exact
     ring radii (the node coordinates absorb radii below machine epsilon
     relative to the center).  Everything else uses the tent's own rule.
+    Either rule comes from the memo of the weight table ``table``
+    (``_table_rule``), by default the weight's points and ``order``.
     """
+    if table is None:
+        table = (weight.points, order)
     total_exponent = (
         weight.exponent * power if weight.kind == "point_product" else 0.0
     )
@@ -243,35 +284,35 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
     )
     if graded:
         center = weight.points[0]
-        rule = polar_rule_at(
-            center,
-            max(4, order // 8),
-            max(16, order),
-            inner_cutoff=inner_cutoff,
+        rule = _table_rule(
+            table, polar_rule_at, center, max(4, order // 8), max(16, order), inner_cutoff
         )
         # combine integrand and rule weight in log space: the deepest
         # rings have rho**exponent far outside float range even when
-        # the weighted contribution is tiny
-        rho = rule.aux["center_distance"]
-        log_values = total_exponent * np.log(rho)
+        # the weighted contribution is tiny; the arrays are the size of
+        # the rule, so each step works in place
+        terms = np.log(rule.aux["center_distance"])
+        terms *= total_exponent
         for a in weight.points[1:]:
-            log_values = log_values + total_exponent * np.log(
-                np.abs(a - rule.nodes)
-            )
+            factor = np.log(np.abs(a - rule.nodes))
+            factor *= total_exponent
+            terms += factor
+        terms += rule.aux["log_weight"]
         with np.errstate(over="ignore"):
-            terms = np.exp(log_values + rule.aux["log_weight"])
+            np.exp(terms, out=terms)
         if not np.all(np.isfinite(terms)):
             raise OverflowInIntegrand(
                 "tent average diverges beyond float range"
             )
         return float(np.sum(terms)) / float(np.sum(rule.weights))
-    return _box_averages(weight, (power,), tent, order)[0]
+    return _box_averages(weight, (power,), tent, order, table)[0]
 
 
-def _box_averages(weight, powers, tent, order):
+def _box_averages(weight, powers, tent, order, table):
     """Averages of weight^power over the tent for each power, from one
-    tent rule and one evaluation of the weight on its nodes."""
-    rule = tent_rule(tent, order)
+    tent rule of the table ``table`` and one evaluation of the weight on
+    its nodes."""
+    rule = _table_rule(table, tent_rule, tent, order)
     values = weight.evaluate(rule.nodes)
     mass = float(np.sum(rule.weights))
     return [
@@ -300,23 +341,22 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     the whole disc at two resolutions -- the refinement also deepens the
     graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
     coarser pair is the whole-disc tent's (apex 0) pair of averages.
+    Every rule comes from the memo of the table (weight points, ``rule``),
+    so later p of the same table build none.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     dual_power = -1.0 / (p - 1.0)
+    table = (weight.points, rule)
     disc_tent = TentRegion(0j)
     whole_disc = []  # the apex-0 averages: same order, same cutoff
     for power in (1.0, dual_power):
         try:
             base = tent_average(
-                weight, power, disc_tent, rule, inner_cutoff=INTEGRABILITY_CUTOFFS[0]
+                weight, power, disc_tent, rule, INTEGRABILITY_CUTOFFS[0], table
             )
             fine = tent_average(
-                weight,
-                power,
-                disc_tent,
-                2 * rule,
-                inner_cutoff=INTEGRABILITY_CUTOFFS[1],
+                weight, power, disc_tent, 2 * rule, INTEGRABILITY_CUTOFFS[1], table
             )
         except OverflowInIntegrand as exc:
             raise NonIntegrable(
@@ -339,7 +379,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
         if tent.is_whole_disc:
             avg_u, avg_dual = whole_disc
         else:
-            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule)
+            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule, table)
         best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 

@@ -27,7 +27,8 @@ the pairs of a rule, tabulated once where several blocks read them
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
 ``legendre_nodes``, which computes them once per order on first use and
-hands out the same read-only arrays after that.
+hands out the same read-only arrays after that.  A ``QuadratureRule``
+checks its nodes and weights when it is made.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import OverflowInIntegrand
+from .errors import InvalidRule, OverflowInIntegrand
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,12 +64,33 @@ class QuadratureRule:
     distance of each node to the rule center there, because for strongly
     graded rules that distance underflows when recomputed from the node
     coordinates themselves.
+
+    A rule checks its invariants when it is made, and raises InvalidRule
+    if one fails: its nodes are finite and lie in the closed unit disc,
+    and its weights are positive.  Where ``aux`` carries ``log_weight``, a
+    weight whose logarithm is at most -700 may also be zero: the weights
+    of the deepest rings of a graded rule underflow by design.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     descriptor: dict
     aux: dict | None = None
+
+    def __post_init__(self):
+        family = self.descriptor["family"]
+        # a modulus that is NaN or infinite fails the comparison as well
+        if not np.all(np.abs(self.nodes) <= 1.0):
+            if not np.all(np.isfinite(self.nodes)):
+                raise InvalidRule(f"{family} rule has a non-finite node")
+            raise InvalidRule(f"{family} rule has a node outside the closed unit disc")
+        positive = self.weights > 0
+        if not np.all(positive):
+            log_weight = (self.aux or {}).get("log_weight")
+            if log_weight is None or not np.all(
+                positive | ((self.weights == 0) & (log_weight <= -700.0))
+            ):
+                raise InvalidRule(f"{family} rule has a weight that is not positive")
 
     @property
     def size(self) -> int:
@@ -285,18 +307,25 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
         (rho[full], rho_w[full], full_phi[None, :], full_pw[None, :]),
         (rho[arc], rho_w[arc], beta + math.pi + half[:, None] * gl_x, half[:, None] * gl_w),
     ]
-    nodes, weights, dists, log_weights = [], [], [], []
+    # each block is written straight into its slice of the rule's arrays,
+    # so the rule is never held twice
+    size = sum(len(rr) * phi.shape[1] for rr, _, phi, _ in blocks)
+    nodes = np.empty(size, dtype=complex)
+    weights, dists, log_weights = np.empty(size), np.empty(size), np.empty(size)
+    start = 0
     for rr, ww, phi, pw in blocks:
-        count = phi.shape[1]
-        nodes.append((center + rr[:, None] * np.exp(1j * phi)).ravel())
-        weights.append(((rr * ww)[:, None] * pw).ravel())
-        dists.append(np.repeat(rr, count))
+        shape = (len(rr), phi.shape[1])
+        part = slice(start, start + shape[0] * shape[1])
+        start = part.stop
+        node_block = nodes[part].reshape(shape)
+        np.multiply(rr[:, None], np.exp(1j * phi), out=node_block)
+        np.add(center, node_block, out=node_block)
+        np.multiply((rr * ww)[:, None], pw, out=weights[part].reshape(shape))
+        dists[part].reshape(shape)[...] = rr[:, None]
         # weights of the deepest rings underflow when multiplied out;
         # keep their logarithms so graded integrands can be summed safely
         ring_log = np.array([math.log(r) + math.log(w) for r, w in zip(rr, ww)])
-        log_weights.append((ring_log[:, None] + np.log(pw)).ravel())
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+        np.add(ring_log[:, None], np.log(pw), out=log_weights[part].reshape(shape))
     if on_circle:
         # nodes within about an ulp of the circle round onto or past it;
         # pull those to just inside it
@@ -312,11 +341,7 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
             "angular_order": int(angular_order),
             "inner_cutoff": inner_cutoff,
         },
-        aux={
-            "center": center,
-            "center_distance": np.concatenate(dists),
-            "log_weight": np.concatenate(log_weights),
-        },
+        aux={"center": center, "center_distance": dists, "log_weight": log_weights},
     )
 
 

@@ -10,7 +10,9 @@ them, and the tests hold the new paths to them bit for bit:
 * the apex loop of ``bekolle_bonami_estimate`` that took each tent's two
   averages through two ``tent_average`` calls, each building the tent's
   rule and evaluating the weight on it, and the whole-disc tent's two
-  averages a second time after the integrability check;
+  averages a second time after the integrability check; its
+  ``tent_average`` builds every rule anew, as the package did before it
+  kept the rules of one weight table for all its p;
 * the full-tensor ``apply_operator`` for one sample point and one
   function, which evaluated the kernel again for every function and
   every point, in chunks of 2^18 tensor points; one point and one
@@ -40,7 +42,7 @@ from bergproj.estimates import (
     INTEGRABILITY_CUTOFFS,
     TentRegion,
     default_apex_grid,
-    tent_average,
+    tent_rule,
 )
 from bergproj.kernels import POLE_GUARD, _as_rows, family_factors
 from bergproj.quadrature import (
@@ -55,6 +57,7 @@ from bergproj.quadrature import (
     pairwise_sum,
     symmetric_blocks,
 )
+from bergproj.quadrature import polar_rule_at as _polar_rule_at
 from bergproj.symbolic import GaussianRational, kernel_terms
 
 
@@ -140,6 +143,41 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
             "log_weight": np.concatenate(log_weights),
         },
     )
+
+
+def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0]):
+    total_exponent = (
+        weight.exponent * power if weight.kind == "point_product" else 0.0
+    )
+    graded = (
+        tent.is_whole_disc
+        and weight.kind == "point_product"
+        and total_exponent < 0
+        and len(weight.points) > 0
+    )
+    if graded:
+        rule = _polar_rule_at(
+            weight.points[0],
+            max(4, order // 8),
+            max(16, order),
+            inner_cutoff=inner_cutoff,
+        )
+        rho = rule.aux["center_distance"]
+        log_values = total_exponent * np.log(rho)
+        for a in weight.points[1:]:
+            log_values = log_values + total_exponent * np.log(
+                np.abs(a - rule.nodes)
+            )
+        with np.errstate(over="ignore"):
+            terms = np.exp(log_values + rule.aux["log_weight"])
+        if not np.all(np.isfinite(terms)):
+            raise OverflowInIntegrand("tent average diverges beyond float range")
+        return float(np.sum(terms)) / float(np.sum(rule.weights))
+    rule = tent_rule(tent, order)
+    values = weight.evaluate(rule.nodes) ** power
+    if not np.all(np.isfinite(values)):
+        raise OverflowInIntegrand("non-finite integrand value in tent average")
+    return float(np.sum(rule.weights * values)) / float(np.sum(rule.weights))
 
 
 def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):

@@ -15,6 +15,7 @@ import pytest
 import bergproj.cli as cli
 import bergproj.estimates as estimates
 import bergproj.experiments as experiments
+import bergproj.quadrature as quadrature
 from bergproj.cli import main
 from bergproj.estimates import classify_forelli_rudin, forelli_rudin
 from bergproj.errors import NonIntegrable, OverflowInIntegrand, PoleProximity
@@ -204,6 +205,58 @@ class TestBekolleBonamiCommand:
         )
         assert code == 0
         assert "1.0000" in capsys.readouterr().out
+
+    def test_invalid_rule_exits_4(self, monkeypatch, capsys):
+        # a radial rule stretched past the circle puts disc nodes outside it
+        stretch = quadrature._gauss_legendre
+        monkeypatch.setattr(
+            quadrature, "_gauss_legendre", lambda order, lo, hi: stretch(order, lo, 1.5 * hi)
+        )
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        code = main(["bekolle-bonami", "--weight", "up", "--p-list", "2", "--points", "0.5"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "InvalidRule: disc rule has a node outside the closed unit disc" in err
+
+
+class TestWeightTablesInOneProcess:
+    """Tables run one after another in one process, as
+    scripts/run_weight_estimates.py runs them, report what each reports
+    in a fresh process: the rules one table keeps never reach another."""
+
+    RUNS = (
+        ("up", "1.5,3,4", "0.5"),
+        ("vp", "1.6,2.5", "0.3,0.3+0.02j"),
+        ("up", "1.5,3,4", "0.5"),
+    )
+
+    @staticmethod
+    def argv(weight, p_list, points, out):
+        return ["bekolle-bonami", "--weight", weight, "--p-list", p_list,
+                "--points", points, "--out", str(out)]
+
+    @staticmethod
+    def report(path):
+        payload = read_json(path)
+        payload.pop("wall_time_s")
+        return payload
+
+    def test_reports_equal_to_fresh_processes(self, tmp_path, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        fresh = {}
+        for run in sorted(set(self.RUNS)):
+            out = tmp_path / f"fresh_{run[0]}.json"
+            subprocess.run(
+                [sys.executable, "-m", "bergproj.cli", *self.argv(*run, out)],
+                capture_output=True, check=True, env=env,
+            )
+            fresh[run] = self.report(out)
+        for i, run in enumerate(self.RUNS):
+            out = tmp_path / f"run{i}.json"
+            assert main(self.argv(*run, out)) == 0
+            assert self.report(out) == fresh[run]
+        assert fresh[self.RUNS[0]]["rows"][-1]["divergent"] is True
 
 
 class TestAnnihilationCommand:

@@ -1,25 +1,30 @@
-"""The rule layer: the Gauss-Legendre cache, rule invariants, and the
-vectorised polar rule and tent loop against the code they replaced.
+"""The rule layer: the Gauss-Legendre cache, rule invariants, the memo
+of one weight table's rules, and the vectorised polar rule and tent loop
+against the code they replaced.
 
 Oracles (``oracles.py``):
 * the per-ring ``polar_rule_at``, which the block-wise rule must match
   bit for bit in nodes, weights and both ``aux`` arrays;
 * the apex loop of ``bekolle_bonami_estimate`` with two ``tent_average``
   calls per tent, which the one-rule-per-tent loop, reusing the
-  integrability check's whole-disc averages, must match exactly.
+  integrability check's whole-disc averages, must match exactly, also
+  with the rules of its table already held (and the same NonIntegrable
+  message where the weight diverges).
 
 Invariants: finite nodes and positive weights for every rule family, a
 mass of pi for disc rules, polar nodes inside the disc (in the closed
 disc about a centre on or within 1e-9 of the circle).  Polar weights of the deepest rings
 underflow to zero by design (``aux["log_weight"]`` keeps them), so they
 are checked positive wherever their logarithm is above -700 and equal to
-its exponential there.
+its exponential there.  A ``QuadratureRule`` that breaks one of these
+cannot be made.
 """
 
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bergproj.quadrature as quadrature
-from bergproj.errors import NonIntegrable
+from bergproj.errors import InvalidRule, NonIntegrable
 import bergproj.estimates as estimates
 from bergproj.estimates import (
     TentRegion,
@@ -41,6 +46,7 @@ from bergproj.experiments import REFINE_FACTORS
 from bergproj.quadrature import (
     MIN_PANEL_NODES,
     MIN_RING_NODES,
+    QuadratureRule,
     WeightSpec,
     disc_rule,
     legendre_nodes,
@@ -179,6 +185,35 @@ class TestRuleInvariants:
         assert np.all(np.isfinite(values))
 
 
+class TestRuleCheckedWhenMade:
+    """A rule that breaks an invariant cannot be made."""
+
+    @staticmethod
+    def make(nodes, weights, log_weight=None):
+        aux = None if log_weight is None else {"log_weight": np.array(log_weight)}
+        return QuadratureRule(
+            np.array(nodes, dtype=complex), np.array(weights, dtype=float), {"family": "test"}, aux
+        )
+
+    @pytest.mark.parametrize(
+        "nodes, weights, log_weight, broken",
+        [
+            ([0.5, complex(math.nan, 0.0)], [1.0, 1.0], None, "a non-finite node"),
+            ([0.5, 1.0 + 1e-7j], [1.0, 1.0], None, "a node outside the closed unit disc"),
+            ([0.5, -0.5], [1.0, 0.0], None, "a weight that is not positive"),
+            ([0.5, -0.5], [1.0, -1.0], [0.0, -800.0], "a weight that is not positive"),
+            ([0.5, -0.5], [1.0, 0.0], [0.0, -699.0], "a weight that is not positive"),
+        ],
+    )
+    def test_broken_rule_refused(self, nodes, weights, log_weight, broken):
+        with pytest.raises(InvalidRule, match=f"test rule has {broken}"):
+            self.make(nodes, weights, log_weight)
+
+    def test_underflowed_weights_of_deep_rings_kept(self):
+        rule = self.make([0.5, 1.0], [1.0, 0.0], [0.0, -800.0])
+        assert rule.size == 2
+
+
 class TestPolarRuleOracle:
     # the per-ring loop refuses centres on the circle, which came later
     @settings(max_examples=60, deadline=None)
@@ -217,22 +252,25 @@ class TestEstimateOracle:
         assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=grid)
 
     def test_whole_disc_averages_taken_once(self, monkeypatch):
-        # at a = 0.5, p = 3 only the weight itself is graded: the
-        # integrability check builds its polar rule at two orders, and the
-        # apex-0 tent reuses the coarser one instead of building it again
-        weight = WeightSpec.point_product((0.5,), 2.0 - 3.0)
+        # at a = 0.5, p = 3 only the weight itself is graded: on an empty
+        # memo the integrability check builds its polar rule at two
+        # orders, and the apex-0 tent reuses the coarser one instead of
+        # building it again; a second p of the same table builds none
         builds = []
 
         def counting(*args, **kwargs):
             builds.append(args)
             return polar_rule_at(*args, **kwargs)
 
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
         monkeypatch.setattr(estimates, "polar_rule_at", counting)
-        got = bekolle_bonami_estimate(weight, 3.0)
-        assert len(builds) == 2
-        builds.clear()
-        assert got == oracles.bekolle_bonami_estimate(weight, 3.0)
-        assert len(builds) == 3
+        for p, graded_builds in ((3.0, 2), (3.5, 0)):
+            weight = WeightSpec.point_product((0.5,), 2.0 - p)
+            got = bekolle_bonami_estimate(weight, p)
+            assert len(builds) == graded_builds
+            builds.clear()
+            assert got == oracles.bekolle_bonami_estimate(weight, p)
+            assert not builds
 
     def test_whole_disc_maximum_kept(self):
         # at a = 0.5, p = 3.9 the graded whole-disc tent gives the maximum
@@ -248,6 +286,58 @@ class TestEstimateOracle:
         with pytest.raises(NonIntegrable) as old:
             oracles.bekolle_bonami_estimate(weight, 4.0)
         assert str(new.value) == str(old.value)
+
+
+def outcome(estimate, points, p):
+    """The estimate of the table's weight at p, or the NonIntegrable
+    message it raised."""
+    try:
+        return estimate(WeightSpec.point_product(points, 2.0 - p), p)
+    except NonIntegrable as exc:
+        return str(exc)
+
+
+#: the two weight tables of scripts/run_weight_estimates.py
+TABLES = ((0.5,), (0.3, 0.3 + 0.02j))
+
+
+class TestTableMemo:
+    """The rules of one weight table are built once for all its p."""
+
+    def held_rules(self):
+        return list(estimates._TABLE_RULES.values())
+
+    def test_held_arrays_are_read_only(self):
+        bekolle_bonami_estimate(WeightSpec.point_product((0.5,), -1.0), 3.0)
+        rules = self.held_rules()
+        families = {rule.descriptor["family"] for rule in rules}
+        assert families == {"disc", "polar", "tent_box"}
+        for rule in rules:
+            arrays = [rule.nodes, rule.weights]
+            if rule.aux is not None:
+                arrays += [rule.aux["center_distance"], rule.aux["log_weight"]]
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_one_table_held_at_a_time(self):
+        bekolle_bonami_estimate(WeightSpec.point_product(TABLES[0], -1.0), 3.0)
+        graded = [r for r in self.held_rules() if r.descriptor["family"] == "polar"]
+        assert [r.descriptor["center"] for r in graded] == [0.5, 0.5]
+        refs = [weakref.ref(rule) for rule in graded]
+        del graded
+        bekolle_bonami_estimate(WeightSpec.point_product(TABLES[1], -0.5), 2.5)
+        assert all(ref() is None for ref in refs)
+        assert {key[0] for key in estimates._TABLE_RULES} == {(TABLES[1], 48)}
+
+    @settings(max_examples=10, deadline=None)
+    @given(points=st.sampled_from(TABLES), p=st.floats(min_value=1.05, max_value=5.0))
+    @example(points=TABLES[0], p=4.0)
+    def test_warm_memo_equal_to_oracle(self, points, p):
+        # an estimate at p = 3 builds every rule of the table
+        outcome(bekolle_bonami_estimate, points, 3.0)
+        got = outcome(bekolle_bonami_estimate, points, p)
+        assert got == outcome(oracles.bekolle_bonami_estimate, points, p)
 
 
 def ring_count(rule):
