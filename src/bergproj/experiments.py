@@ -54,6 +54,8 @@ from .quadrature import (
 
 SCHEMA_VERSION = "1"
 
+#: the JSON schema of every report; no driver reads it, the tests validate
+#: each command's report against it
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
@@ -265,8 +267,8 @@ def _prefix_weight(rows, prefix, j, k):
 def _norm_sums(n, s, rule, p_list, constant):
     """Weighted L^p sums of h_s and of its image at every p, in one pass.
 
-    These are the sums whose p-th roots :func:`weighted_lp_norm` returns,
-    against the squared-Vandermonde weight over the symmetric blocks of
+    These are the sums of |f|^p against the squared-Vandermonde weight
+    that :func:`integrate_polydisc` makes over the symmetric blocks of
     ``rule``, here evaluated from per-node factor tables with the same
     products and the same summation tree.  Each block is summed by
     :func:`pairwise_sum`, in parts of at most ``BLOCK_CHUNK`` tuples, which
@@ -334,7 +336,8 @@ def _norm_sums(n, s, rule, p_list, constant):
 
 
 def _norm_power(total, p):
-    """The p-th power of the norm from its sum, as weighted_lp_norm rounds it."""
+    """The p-th power of the norm from its sum, rounded through the norm:
+    (total^(1/p))^p."""
     if isinstance(total, Exception):
         raise total
     return (float(total) ** (1.0 / p)) ** p
@@ -410,7 +413,7 @@ def _quadrature_descriptor(orders, factors, calibration_residual):
     }
 
 
-def blowup_experiment(n, p, s_grid=None, rule=None, seed=0) -> ExperimentReport:
+def blowup_experiment(n, p, s_grid=None, rule=None) -> ExperimentReport:
     """Ratio r(s) of the weighted p-norm powers of the operator image of
     the blow-up family against the family itself, with the linear fit of
     r(s) on -log(1-s).
@@ -451,14 +454,13 @@ def blowup_experiment(n, p, s_grid=None, rule=None, seed=0) -> ExperimentReport:
         rows=cells,
         fit=fit,
         quadrature=_quadrature_descriptor(orders, factors, residual),
-        seed=seed,
         wall_time_s=time.time() - start,
         passed=bool(fit["strictly_increasing"] and fit["beta"] > 0.0),
         notes=notes,
     )
 
 
-def boundedness_scan(n, p_list, s_grid=None, rule=None, seed=0) -> ExperimentReport:
+def boundedness_scan(n, p_list, s_grid=None, rule=None) -> ExperimentReport:
     """Flat-or-growing verdict of the norm ratio r(s) for each p.
 
     A finite grid cannot prove boundedness; the verdicts are consistency
@@ -515,7 +517,6 @@ def boundedness_scan(n, p_list, s_grid=None, rule=None, seed=0) -> ExperimentRep
         s_grid=list(s_grid),
         rows=rows,
         quadrature=_quadrature_descriptor(orders, factors, residual),
-        seed=seed,
         wall_time_s=time.time() - start,
         passed=all_consistent,
         notes=[
@@ -538,7 +539,7 @@ _VERIFIER_TABLE = (
 )
 
 
-def identity_suite(max_n, negative_controls=False, seed=0) -> ExperimentReport:
+def identity_suite(max_n, negative_controls=False) -> ExperimentReport:
     """Run every exact-identity verifier up to its index cap (bounded by
     ``max_n``), optionally with mutated negative controls that must fail.
     """
@@ -575,7 +576,6 @@ def identity_suite(max_n, negative_controls=False, seed=0) -> ExperimentReport:
         n=max_n,
         rows=rows,
         quadrature={"family": "exact-rational"},
-        seed=seed,
         wall_time_s=time.time() - start,
         passed=all_passed,
         notes=["all checks run in exact Gaussian-rational arithmetic"],

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import InterpolationInconsistent, PoleProximity
+from .errors import PoleProximity
 from .quadrature import INTEGRAND_CHUNK, integrate_polydisc
 from .symbolic import kernel_terms
 from .symmetrization import jacobian_phi, local_inverse_roots, Permutation
@@ -65,6 +64,12 @@ def bergman_symmetrized(p, q, tol=1e-12):
     are closer than tol^(1/2) to each other sit near the branch locus,
     where both Jacobians vanish; the formula stays finite but loses
     digits, so callers should stay away from the diagonal there.
+
+    No driver calls it yet.  It stays here, with :func:`bergman_disc`,
+    because it is the kernel of the symmetrized polydisc itself, and
+    because moving it out would leave this module importing
+    ``jacobian_phi`` and ``local_inverse_roots`` only for the benchmark's
+    layer tracer, which requires this module to bind them.
     """
     zs = local_inverse_roots(p, tol=tol)
     ws = local_inverse_roots(q, tol=tol)
@@ -136,7 +141,9 @@ def tildeT2_closed_form(s, z):
     """Closed form of the conjugate-Vandermonde operator on the n=2 family.
 
     Normalized so that applying the kernel by quadrature to
-    ``test_function_hs(2, s, .)`` gives pi times this value.
+    ``test_function_hs(2, s, .)`` gives pi times this value.  No driver
+    calls it yet: it is the exact image an exact blow-up verdict at the
+    n = 2 endpoint p = 4 needs.
     """
     z1, z2 = complex(z[0]), complex(z[1])
     a = s * s / (math.pi * (1.0 - z1 * s) ** 2 * (1.0 - z2 * s))
@@ -170,75 +177,6 @@ def tilde_shape(n, s, pts):
     r_prod = r[-2] * r[-1] if n > 2 else None
     out = shape_from_sums(s, r[:-2], c[:-2], r[-2] + r[-1], r_prod, c[-2] * c[-1])
     return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class QPolynomial:
-    """The degree k-2 polynomial with q(m+1) (m+1) = binom(m+k-1, k-1).
-
-    Built by exact interpolation and revalidated out of sample on
-    construction, so holding an instance certifies the contract.
-    Applying q in the index variable upgrades the square-power disc
-    kernel series to the k-th power series.
-    """
-
-    k: int
-    coeffs: tuple  # ascending, exact Fractions
-
-    def __call__(self, x):
-        out = 0 if not isinstance(x, (float, complex)) else 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-
-def q_polynomial(k):
-    """Interpolate the index polynomial for the k-th kernel power exactly.
-
-    Interpolation nodes are m = 0..k-2; the result is checked at the next
-    six integers and the construction aborts if any check fails.
-    """
-    if k < 2:
-        raise ValueError("kernel power k must be at least 2")
-    target = lambda m: Fraction(math.comb(m + k - 1, k - 1), m + 1)
-    xs = [Fraction(m + 1) for m in range(k - 1)]
-    ys = [target(m) for m in range(k - 1)]
-    # Newton's divided differences, exact in Fractions
-    table = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - level])
-    # expand to monomial coefficients
-    coeffs = [Fraction(0)] * len(xs)
-    for i in reversed(range(len(xs))):
-        # multiply current polynomial by (x - xs[i]) and add table[i]
-        new = [Fraction(0)] * len(xs)
-        for d in range(len(xs) - 1):
-            new[d + 1] += coeffs[d]
-            new[d] -= xs[i] * coeffs[d]
-        new[0] += table[i]
-        coeffs = new
-    poly = QPolynomial(k=k, coeffs=tuple(coeffs[: max(1, k - 1)]))
-    for m in range(k - 1, k + 5):
-        if poly(Fraction(m + 1)) * (m + 1) != math.comb(m + k - 1, k - 1):
-            raise InterpolationInconsistent(
-                f"index polynomial for k={k} fails its out-of-sample check at m={m}"
-            )
-    return poly
-
-
-def apply_D_operator(coeffs, q):
-    """Apply q of the index operator to a power series given by coefficients.
-
-    The index operator sends w^m to (m+1) w^m (equivalently it is
-    1 + w d/dw), so q acts diagonally: coefficient m is scaled by q(m+1).
-    Returns a list of the same length.
-    """
-    return [q(m + 1) * c for m, c in enumerate(coeffs)]
 
 
 def _denominator_factors(z, wbar):

@@ -666,30 +666,6 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     return _batch_total(acc)
 
 
-def monte_carlo_polydisc(f, sample_count, seed, n):
-    """Plain Monte Carlo integral over D^n by rejection from the square.
-
-    Returns (estimate, standard_error).  Deterministic for a fixed seed.
-    """
-    rng = np.random.default_rng(seed)
-    kept = []
-    have = 0
-    while have < sample_count:
-        batch = max(4096, int(1.4 * (sample_count - have) / (math.pi / 4.0) ** n))
-        pts = rng.uniform(-1.0, 1.0, (batch, n)) + 1j * rng.uniform(-1.0, 1.0, (batch, n))
-        mask = np.all(np.abs(pts) < 1.0, axis=1)
-        good = pts[mask][: sample_count - have]
-        kept.append(good)
-        have += len(good)
-    pts = np.concatenate(kept)
-    vals = np.asarray(f(pts))
-    _check_finite(vals, "monte carlo")
-    volume = math.pi**n
-    estimate = volume * complex(np.mean(vals))
-    stderr = volume * float(np.std(vals, ddof=1)) / math.sqrt(sample_count)
-    return estimate, stderr
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """A positive weight on the polydisc (or the disc, for n = 1).
@@ -741,19 +717,3 @@ class WeightSpec:
                 out *= np.abs(a - w) ** self.exponent
             return out
         raise ValueError(f"unknown weight kind {self.kind!r}")
-
-
-def weighted_lp_norm(f, p, weight, rule, n, symmetric=False):
-    """The L^p norm of f against a weight, by tensor quadrature.
-
-    ``symmetric=True`` is only sound when both f and the weight are
-    symmetric under coordinate permutations.
-    """
-    if p <= 0:
-        raise ValueError("p must be positive")
-
-    def integrand(pts):
-        return np.abs(np.asarray(f(pts))) ** p * weight.evaluate(pts)
-
-    value = integrate_polydisc(integrand, rule, n, symmetric=symmetric).real
-    return value ** (1.0 / p)

@@ -5,6 +5,13 @@ polynomials.  Its local inverses are root multisets of the monic polynomial
 whose signed coefficients are those symmetric values; there are n! of them,
 one per ordering of the roots.  The complex Jacobian of the map is the
 Vandermonde determinant of the tuple.
+
+No driver reaches the root machinery (the two point classes,
+``elementary_symmetric``, ``local_inverse_roots``, ``local_inverses`` and
+``in_symmetrized_polydisc``): the experiments use only
+:class:`Permutation`.  It stays because the benchmark's layer tracer wraps
+these names, with ``Permutation.group``, and requires ``bergproj`` to bind
+them; ``bergproj.kernels.bergman_symmetrized`` uses the roots.
 """
 
 from __future__ import annotations

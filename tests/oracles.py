@@ -28,7 +28,12 @@ them, and the tests hold the new paths to them bit for bit:
 * the exact layer before its monomials were packed into ints, keyed by
   exponent tuples, with its block helpers and its builds of the
   denominators and the kernel numerators; the packed layer must equal
-  it term for term.
+  it term for term, and the series form of T1 annihilation and the pair
+  symmetry of the P_l differences are checked on it;
+* two integrals that only tests take: the weighted L^p norm by tensor
+  quadrature, which the fused norm pass must match bit for bit, and
+  plain Monte Carlo over the polydisc, the independent route of the
+  3-sigma check.
 """
 
 import math
@@ -54,11 +59,12 @@ from bergproj.quadrature import (
     _radial_panels,
     _triangle_start,
     chunk_slices,
+    integrate_polydisc,
     pairwise_sum,
     symmetric_blocks,
 )
 from bergproj.quadrature import polar_rule_at as _polar_rule_at
-from bergproj.symbolic import GaussianRational, kernel_terms
+from bergproj.symbolic import kernel_terms
 
 
 def _integrate_symmetric_2(f, nodes, weights):
@@ -485,7 +491,7 @@ class TupleMultiPoly:
         """Evaluate at a sequence of numbers (complex allowed)."""
         total = 0j if any(isinstance(p, complex) for p in point) else 0
         for exps, coeff in self.terms.items():
-            val = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
+            val = coeff
             for i, e in enumerate(exps):
                 if e:
                     val = val * point[i] ** e
@@ -503,6 +509,11 @@ class TupleMultiPoly:
         inner = ", ".join(f"{e}:{c}" for e, c in shown)
         more = "" if self.n_terms <= 4 else f", +{self.n_terms - 4} terms"
         return f"TupleMultiPoly({self.nvars}, {{{inner}{more}}})"
+
+
+def as_tuple_poly(poly):
+    """The tuple-keyed form of a packed ``MultiPoly``, term for term."""
+    return TupleMultiPoly(poly.nvars, dict(poly.sorted_terms()))
 
 
 def permute_block(poly, start, length, perm):
@@ -601,3 +612,43 @@ def pairwise_leaves(length):
     leaves = []
     pairwise_sum(length, lambda parts: (leaves.append(part) or 0.0 for part in parts))
     return leaves
+
+
+def monte_carlo_polydisc(f, sample_count, seed, n):
+    """Plain Monte Carlo integral over D^n by rejection from the square.
+
+    Returns (estimate, standard_error).  Deterministic for a fixed seed.
+    """
+    rng = np.random.default_rng(seed)
+    kept = []
+    have = 0
+    while have < sample_count:
+        batch = max(4096, int(1.4 * (sample_count - have) / (math.pi / 4.0) ** n))
+        pts = rng.uniform(-1.0, 1.0, (batch, n)) + 1j * rng.uniform(-1.0, 1.0, (batch, n))
+        mask = np.all(np.abs(pts) < 1.0, axis=1)
+        good = pts[mask][: sample_count - have]
+        kept.append(good)
+        have += len(good)
+    pts = np.concatenate(kept)
+    vals = np.asarray(f(pts))
+    _check_finite(vals, "monte carlo")
+    volume = math.pi**n
+    estimate = volume * complex(np.mean(vals))
+    stderr = volume * float(np.std(vals, ddof=1)) / math.sqrt(sample_count)
+    return estimate, stderr
+
+
+def weighted_lp_norm(f, p, weight, rule, n, symmetric=False):
+    """The L^p norm of f against a weight, by tensor quadrature.
+
+    ``symmetric=True`` is only sound when both f and the weight are
+    symmetric under coordinate permutations.
+    """
+    if p <= 0:
+        raise ValueError("p must be positive")
+
+    def integrand(pts):
+        return np.abs(np.asarray(f(pts))) ** p * weight.evaluate(pts)
+
+    value = integrate_polydisc(integrand, rule, n, symmetric=symmetric).real
+    return value ** (1.0 / p)

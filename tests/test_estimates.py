@@ -29,7 +29,6 @@ from bergproj.estimates import (
     classify_forelli_rudin,
     default_apex_grid,
     forelli_rudin,
-    region_contains,
     sector_annulus_integral,
     tent_average,
     tent_rule,
@@ -41,6 +40,21 @@ def growth_oracle(eps, s_exp, r):
     """Hypergeometric closed form of the growth integral."""
     alpha = (2.0 - eps - s_exp) / 2.0
     return math.pi / (1.0 - eps) * hyp2f1(alpha, alpha, 2.0 - eps, r * r)
+
+
+def region_contains(region, z):
+    """Strict membership in the sector region, from its aperture and,
+    for kind "Unj", its annulus."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        return False
+    u = 1.0 - z * region.s
+    if not -region.half_aperture < math.atan2(u.imag, u.real) < region.half_aperture:
+        return False
+    if region.kind == "Unj":
+        rho = abs(z - 1.0 / region.s)
+        return region.inner_radius < rho < 1.0
+    return True
 
 
 class TestGrowthIntegral:

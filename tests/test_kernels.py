@@ -1,5 +1,5 @@
-"""Tests for the kernel evaluators, the symmetrized-polydisc kernel, the
-blow-up family, and the index-polynomial machinery.
+"""Tests for the kernel evaluators, the symmetrized-polydisc kernel and the
+blow-up family.
 
 Expected values come from independent routes: explicit closed forms,
 mpmath recomputation at high precision, exact sympy calculus for the
@@ -7,7 +7,6 @@ n = 3 operator, and series expansions of the disc kernel.
 """
 
 import math
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -15,15 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergproj.errors import InterpolationInconsistent, PoleProximity
+from bergproj.errors import PoleProximity
 from bergproj.kernels import (
     KernelSpec,
-    QPolynomial,
-    apply_D_operator,
     apply_operator,
     bergman_disc,
     bergman_symmetrized,
-    q_polynomial,
     tildeT2_closed_form,
     tilde_shape,
 )
@@ -329,67 +325,6 @@ class TestConjugateVandermondeTransport:
             constants.append(exact / tilde_shape(3, 0.7, z))
         assert constants[0] == pytest.approx(constants[1], rel=1e-10)
         assert constants[0] == pytest.approx(-0.5, rel=1e-10)
-
-
-class TestIndexPolynomial:
-    def test_square_power_is_constant_one(self):
-        poly = q_polynomial(2)
-        assert poly.coeffs == (Fraction(1),)
-        assert poly.degree == 0
-
-    def test_cube_power_linear(self):
-        poly = q_polynomial(3)
-        assert poly.coeffs == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_fifth_power_frozen_coefficients(self):
-        # (x+1)(x+2)(x+3)/24 expanded
-        poly = q_polynomial(5)
-        assert poly.coeffs == (
-            Fraction(1, 4),
-            Fraction(11, 24),
-            Fraction(1, 4),
-            Fraction(1, 24),
-        )
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7])
-    def test_binomial_contract(self, k):
-        poly = q_polynomial(k)
-        for m in range(12):
-            assert poly(Fraction(m + 1)) * (m + 1) == math.comb(m + k - 1, k - 1)
-
-    def test_out_of_sample_check_guards(self, monkeypatch):
-        import bergproj.kernels as kernels_module
-
-        true_comb = math.comb
-
-        def broken_comb(a, b):
-            # poison only the out-of-sample region for k = 4
-            if a >= 2 * 4 - 2:
-                return true_comb(a, b) + 1
-            return true_comb(a, b)
-
-        monkeypatch.setattr(kernels_module.math, "comb", broken_comb)
-        with pytest.raises(InterpolationInconsistent):
-            q_polynomial(4)
-
-    def test_rejects_small_power(self):
-        with pytest.raises(ValueError):
-            q_polynomial(1)
-
-    def test_series_upgrade(self):
-        # applying the k = 3 polynomial to the square-power series
-        # coefficients (m+1) s^m yields the cube-power series binom(m+2, 2) s^m
-        s = Fraction(1, 3)
-        coeffs = [(m + 1) * s**m for m in range(10)]
-        upgraded = apply_D_operator(coeffs, q_polynomial(3))
-        for m, value in enumerate(upgraded):
-            assert value == math.comb(m + 2, 2) * s**m
-
-    def test_float_evaluation(self):
-        poly = q_polynomial(4)
-        x = 2.5
-        expected = float(poly(Fraction(5, 2)))
-        assert poly(x) == pytest.approx(expected, rel=1e-15)
 
 
 class TestKernelSpec:

@@ -9,7 +9,7 @@ Oracles:
 * closed forms obtained by expanding the Vandermonde determinant:
   the integral of |w1 - w2|^2 over D^2 is pi^2 and the integral of the
   squared modulus of the full Vandermonde over D^3 is pi^3;
-* Monte Carlo as an independent stochastic cross-check.
+* Monte Carlo as an independent stochastic cross-check (``oracles.py``).
 """
 
 import math
@@ -23,12 +23,11 @@ from bergproj.quadrature import (
     WeightSpec,
     disc_rule,
     integrate_polydisc,
-    monte_carlo_polydisc,
     polar_rule_at,
     refine,
     singular_disc_rule,
-    weighted_lp_norm,
 )
+from oracles import monte_carlo_polydisc, weighted_lp_norm
 
 
 def vandermonde_sq(pts):

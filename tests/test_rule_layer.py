@@ -36,9 +36,11 @@ import bergproj.quadrature as quadrature
 from bergproj.errors import InvalidRule, NonIntegrable
 import bergproj.estimates as estimates
 from bergproj.estimates import (
+    CLASSIFICATION_SAMPLES,
     TentRegion,
     _sector_cubature,
     bekolle_bonami_estimate,
+    classify_forelli_rudin,
     default_apex_grid,
     tent_rule,
 )
@@ -302,7 +304,8 @@ TABLES = ((0.5,), (0.3, 0.3 + 0.02j))
 
 
 class TestTableMemo:
-    """The rules of one weight table are built once for all its p."""
+    """The rules of one weight table are built once for all its p, and
+    the default growth rules once for all exponents."""
 
     def held_rules(self):
         return list(estimates._TABLE_RULES.values())
@@ -328,7 +331,23 @@ class TestTableMemo:
         del graded
         bekolle_bonami_estimate(WeightSpec.point_product(TABLES[1], -0.5), 2.5)
         assert all(ref() is None for ref in refs)
-        assert {key[0] for key in estimates._TABLE_RULES} == {(TABLES[1], 48)}
+        assert {key[0] for key in estimates._TABLE_RULES} == {TABLES[1]}
+
+    def test_growth_rules_built_once_per_radius(self, monkeypatch):
+        # without a boundary factor the default growth rule depends on the
+        # radius alone, so classifying three exponents builds one polar
+        # rule per sample radius
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return polar_rule_at(*args)
+
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        monkeypatch.setattr(estimates, "polar_rule_at", counting)
+        for s_exp in (0.5, 0.0, -0.5):
+            classify_forelli_rudin(0.0, s_exp)
+        assert len(built) == len(set(built)) == len(CLASSIFICATION_SAMPLES)
 
     @settings(max_examples=10, deadline=None)
     @given(points=st.sampled_from(TABLES), p=st.floats(min_value=1.05, max_value=5.0))

@@ -4,8 +4,16 @@ The oracle for the arithmetic layer is direct expansion by hand at tiny
 sizes plus float evaluation at random points; the identity verifiers are
 additionally exercised through their mutation switches, which must flip
 the verdict (a verifier that cannot fail verifies nothing).
+
+Two claims need operations on one block of variables, which the package
+does not have: the series form of T1 annihilating antisymmetric
+functions, and the pair symmetry of the differences of consecutive P_l.
+They run on the tuple-keyed oracle layer of ``oracles.py``, on the
+package's own kernel rows converted term for term.
 """
 
+import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -15,22 +23,13 @@ from hypothesis import given, settings, strategies as st
 import bergproj.symbolic as symbolic
 from bergproj.experiments import identity_suite
 from bergproj.symbolic import (
-    GaussianRational,
     MultiPoly,
     RationalFn,
-    antisymmetrize,
     a_factor,
     b_factor,
     diagonal_denominator,
     full_denominator,
-    geometric_series,
-    mul_truncate_block,
-    permute_block,
-    rational_equal,
     rational_kernel,
-    swap_block_variables,
-    t1_series_w_antisymmetrization,
-    truncate_block_degree,
     verify_ab_identity,
     verify_kernel_decomposition,
     verify_pI_expansion,
@@ -38,6 +37,16 @@ from bergproj.symbolic import (
     verify_vandermonde_expansion,
 )
 from bergproj.symmetrization import Permutation
+from oracles import (
+    TupleMultiPoly,
+    as_tuple_poly,
+    mul_truncate_block,
+    permute_block,
+    truncate_block_degree,
+)
+
+#: a rational function on the oracle layer; ``n`` is the kernel block size
+TupleRational = namedtuple("TupleRational", "num den n")
 
 
 def symmetric_pair_product(n):
@@ -49,29 +58,68 @@ def symmetric_pair_product(n):
     return out
 
 
+def antisymmetrize(poly, start, length):
+    """(1/length!) * sum over permutations of sign * permuted poly: the
+    projection onto the antisymmetric component of one variable block."""
+    total = TupleMultiPoly.zero(poly.nvars)
+    for perm in Permutation.group(length):
+        contrib = permute_block(poly, start, length, perm)
+        total = total + (contrib if perm.sign > 0 else -contrib)
+    return total.scale(Fraction(1, math.factorial(length)))
+
+
+def geometric_series(nvars, i, j, order):
+    """Truncated expansion of 1/(1 - x_i x_j): sum of (x_i x_j)^m, m <= order."""
+    terms = {}
+    for m in range(order + 1):
+        exps = [0] * nvars
+        exps[i] += m
+        exps[j] += m
+        terms[tuple(exps)] = 1
+    return TupleMultiPoly(nvars, terms)
+
+
+def t1_series_w_antisymmetrization(n, order, numerator=None):
+    """w-block antisymmetrization of numerator / shared denominator,
+    expanded as a power series in the w block to total w degree ``order``.
+
+    For the t1 row it is identically zero: the series-level statement that
+    T1 annihilates antisymmetric functions.
+    """
+    nvars = 2 * n
+    if numerator is None:
+        numerator = rational_kernel("t1", n).num
+    series = truncate_block_degree(as_tuple_poly(numerator), n, n, order)
+    for j in range(n):
+        for k in range(j, n):
+            # one series factor per denominator factor; the diagonal pair
+            # (j, j) correctly contributes its factor twice
+            for zi, wi in ((k, j), (j, k)):
+                geo = geometric_series(nvars, zi, n + wi, order)
+                series = mul_truncate_block(series, geo, n, n, order)
+    return antisymmetrize(series, n, n)
+
+
+def rational_equal(f, g):
+    """Exact equality of rational functions by cross multiplication."""
+    return f.num * g.den == g.num * f.den
+
+
+def swap_block_variables(f, i, j, block):
+    """Transpose variables i and j inside the z block or the w block of a
+    rational function on the oracle layer."""
+    n = f.n
+    start = 0 if block == "z" else n
+    perm = Permutation.transposition(n, i, j)
+    return TupleRational(permute_block(f.num, start, n, perm), permute_block(f.den, start, n, perm), n)
+
+
 def _small_polys(nvars=3, max_terms=4, max_exp=3):
     exponents = st.tuples(*[st.integers(0, max_exp)] * nvars)
     coeffs = st.integers(-9, 9)
     return st.dictionaries(exponents, coeffs, max_size=max_terms).map(
         lambda terms: MultiPoly(nvars, terms)
     )
-
-
-class TestGaussianRational:
-    def test_product_of_conjugates(self):
-        z = GaussianRational(1, 1)
-        w = GaussianRational(1, -1)
-        assert z * w == 2
-
-    def test_mixed_arithmetic(self):
-        z = GaussianRational(Fraction(1, 2), 1)
-        assert z + 1 == GaussianRational(Fraction(3, 2), 1)
-        assert 2 * z == GaussianRational(1, 2)
-        assert complex(z) == 0.5 + 1j
-
-    def test_zero_detection(self):
-        assert not GaussianRational(0, 0)
-        assert GaussianRational(0, 1)
 
 
 class TestMultiPoly:
@@ -104,11 +152,6 @@ class TestMultiPoly:
         f = MultiPoly.variable(1, 0).scale(Fraction(1, 3))
         assert (f + f + f) == MultiPoly.variable(1, 0)
 
-    def test_gaussian_rational_coefficients(self):
-        i = GaussianRational(0, 1)
-        f = MultiPoly.variable(1, 0).scale(i)
-        assert f * f == MultiPoly.variable(1, 0) ** 2 * (-1)
-
     @settings(max_examples=60, deadline=None)
     @given(_small_polys(), _small_polys(), _small_polys())
     def test_distributive_law(self, f, g, h):
@@ -122,43 +165,46 @@ class TestMultiPoly:
 
 
 class TestBlockOperations:
+    """The block operations behind the series and swap checks, on the
+    oracle layer."""
+
     def test_permute_block_relabels(self):
         # variables (z0, z1, w0, w1); swap the w block
-        f = MultiPoly.variable(4, 2)
+        f = TupleMultiPoly.variable(4, 2)
         swapped = permute_block(f, 2, 2, Permutation.transposition(2, 0, 1))
-        assert swapped == MultiPoly.variable(4, 3)
+        assert swapped == TupleMultiPoly.variable(4, 3)
 
     def test_antisymmetrize_single_variable(self):
-        x0 = MultiPoly.variable(2, 0)
-        x1 = MultiPoly.variable(2, 1)
+        x0 = TupleMultiPoly.variable(2, 0)
+        x1 = TupleMultiPoly.variable(2, 1)
         got = antisymmetrize(x0, 0, 2)
         assert got == (x0 - x1).scale(Fraction(1, 2))
 
     def test_antisymmetrize_kills_symmetric(self):
-        x0 = MultiPoly.variable(2, 0)
-        x1 = MultiPoly.variable(2, 1)
+        x0 = TupleMultiPoly.variable(2, 0)
+        x1 = TupleMultiPoly.variable(2, 1)
         assert antisymmetrize(x0 * x1 + x0 + x1, 0, 2).is_zero()
 
     def test_antisymmetrize_kills_degenerate_monomial(self):
         # in three variables no antisymmetric polynomial of degree 2 exists
-        sq = MultiPoly.variable(3, 0) ** 2
+        sq = TupleMultiPoly.variable(3, 0) ** 2
         assert antisymmetrize(sq, 0, 3).is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(_small_polys(nvars=3, max_exp=2))
     def test_antisymmetrize_is_projection(self, f):
-        once = antisymmetrize(f, 0, 3)
+        once = antisymmetrize(as_tuple_poly(f), 0, 3)
         assert antisymmetrize(once, 0, 3) == once
 
     def test_truncate_block_degree(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
+        x = TupleMultiPoly.variable(2, 0)
+        y = TupleMultiPoly.variable(2, 1)
         f = x**3 + x * y**2 + y
         assert truncate_block_degree(f, 1, 1, 1) == x**3 + y
 
     def test_mul_truncate_matches_full_product(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
+        x = TupleMultiPoly.variable(2, 0)
+        y = TupleMultiPoly.variable(2, 1)
         f = (x + y) ** 2
         g = (x - y) ** 3
         full = truncate_block_degree(f * g, 1, 1, 2)
@@ -166,8 +212,8 @@ class TestBlockOperations:
 
     def test_geometric_series_terms(self):
         geo = geometric_series(2, 0, 1, 2)
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
+        x = TupleMultiPoly.variable(2, 0)
+        y = TupleMultiPoly.variable(2, 1)
         assert geo == 1 + x * y + (x * y) ** 2
 
 
@@ -322,9 +368,9 @@ class TestRationalLayer:
         # the difference of consecutive interpolating kernels in three
         # variables is invariant under transposing the first two variables,
         # separately in each block
-        diff = RationalFn(
-            rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num,
-            full_denominator(3),
+        diff = TupleRational(
+            as_tuple_poly(rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num),
+            as_tuple_poly(full_denominator(3)),
             3,
         )
         for block in ("z", "w"):
@@ -333,9 +379,9 @@ class TestRationalLayer:
     def test_full_swap_is_not_symmetric_control(self):
         # the same difference is NOT invariant under transposing the first
         # and last variables, so the previous test cannot pass vacuously
-        diff = RationalFn(
-            rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num,
-            full_denominator(3),
+        diff = TupleRational(
+            as_tuple_poly(rational_kernel("pl", 3, 2).num - rational_kernel("pl", 3, 1).num),
+            as_tuple_poly(full_denominator(3)),
             3,
         )
         assert not rational_equal(diff, swap_block_variables(diff, 0, 2, "w"))

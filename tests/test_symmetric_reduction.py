@@ -5,7 +5,7 @@ Oracles:
 * the hand-written n = 2 and n = 3 reductions (``oracles.py``), which the
   block reduction must match bit for bit;
 * the full tensor sum, which it must match to roundoff for n = 2, 3, 4;
-* ``weighted_lp_norm`` on point integrands, which the fused norm pass of
+* ``oracles.weighted_lp_norm`` on point integrands, which the fused norm pass of
   the ratio experiments must match exactly at n = 2 and to 1e-13 at n = 3;
 * separate per-p runs, whose first convergence failure the fused scan
   must raise.
@@ -38,9 +38,8 @@ from bergproj.quadrature import (
     refine,
     singular_disc_rule,
     symmetric_blocks,
-    weighted_lp_norm,
 )
-from oracles import _integrate_symmetric_2, _integrate_symmetric_3
+from oracles import _integrate_symmetric_2, _integrate_symmetric_3, weighted_lp_norm
 
 
 def symmetric_integrand(seed, n, complex_valued):
