@@ -107,7 +107,11 @@ def forelli_rudin(eps, s_exp, z, rule=None):
     with np.errstate(over="ignore"):
         values = np.abs(1.0 - z_eff * np.conj(w)) ** (-beta)
         if eps != 0:
-            values = values * (1.0 - np.abs(w) ** 2) ** (-eps)
+            # a graded disc rule keeps the exact 1 - |w|^2 of its nodes
+            distance = (rule.aux or {}).get("boundary_distance")
+            if distance is None:
+                distance = 1.0 - np.abs(w) ** 2
+            values = values * distance ** (-eps)
     return _rule_sum(values, rule.weights, "growth integral")
 
 

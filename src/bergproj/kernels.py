@@ -10,6 +10,8 @@ over the shared denominator prod_{j<=k} (1 - z_k wbar_j)(1 - z_j wbar_k).
 :class:`KernelSpec` evaluates that table, vectorized over rows of
 integration points; :func:`bergproj.symbolic.rational_kernel` builds the
 same table exactly, and the two layers are tested against each other.
+:func:`apply_operator` hands it rows of node indices, from which it
+gathers the factors 1 - z_a wbar_b out of one table of n values per node.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .symmetrization import jacobian_phi, local_inverse_roots, Permutation
 POLE_GUARD = 1e-14
 
 
-def _as_rows(wbar, n):
-    wbar = np.asarray(wbar, dtype=complex)
+def _as_rows(wbar, n, dtype=complex):
+    wbar = np.asarray(wbar, dtype=dtype)
     rows = wbar[None, :] if wbar.ndim == 1 else wbar
     if rows.shape[1] != n:
         raise ValueError(f"expected {n} columns, got {rows.shape[1]}")
@@ -179,27 +181,40 @@ def tilde_shape(n, s, pts):
     return out[0] if single else out
 
 
-def _denominator_factors(z, wbar):
-    """The n^2 factors 1 - z_a wbar_b, as ``factor[a][b]``, each checked
-    against the pole guard in the order the unpermuted kernel meets them:
-    the diagonal factor of j, then the cross factors of (j, k) for k > j.
+def _denominator_factors(z, nodes, index):
+    """The n^2 factors 1 - z_a wbar_b at the rows ``index`` of node
+    indices, as ``factor[a][b]``: ``nodes`` holds the conjugated nodes,
+    and the factors of row r are 1 - z_a nodes[index[r, b]].
 
-    They share one buffer: as n^2 separate arrays they made the allocator
-    hand the heap back and fault it in again on every call, about 200
-    page faults per call at 4,369 rows, which doubled the time of an
-    unsymmetrized evaluation.
+    The n x size table of 1 - z_a nodes[i] is built once and each row's
+    factors are gathered from it, so every factor has the bits it would
+    have if it were computed at that row.  The table is checked against
+    the pole guard; only when one of its entries is within the guard are
+    the gathered factors checked, in the order the unpermuted kernel
+    meets them: the diagonal factor of j, then the cross factors of
+    (j, k) for k > j.  A node within the guard that no row reads raises
+    nothing.
+
+    The factors share one buffer: as n^2 separate arrays they made the
+    allocator hand the heap back and fault it in again on every call,
+    about 200 page faults per call at 4,369 rows, which doubled the time
+    of an unsymmetrized evaluation.
     """
     n = len(z)
-    factor = np.empty((n, n, len(wbar)), dtype=complex)
+    table = np.empty((n, len(nodes)), dtype=complex)
     for a in range(n):
-        for b in range(n):
-            np.subtract(1.0, z[a] * wbar[:, b], out=factor[a, b])
-    nearest = np.min(np.abs(factor), axis=-1)
-    for j in range(n):
-        _guard(nearest[j, j], "diagonal factor")
-        for k in range(j + 1, n):
-            _guard(nearest[k, j], "cross factor")
-            _guard(nearest[j, k], "cross factor")
+        np.subtract(1.0, z[a] * nodes, out=table[a])
+    factor = np.empty((n, n, len(index)), dtype=complex)
+    # mode="wrap" spares the copy of ``out`` that take makes to raise on an
+    # index out of range
+    table.take(index.T, axis=1, out=factor, mode="wrap")
+    if np.min(np.abs(table)) < POLE_GUARD:
+        nearest = np.min(np.abs(factor), axis=-1)
+        for j in range(n):
+            _guard(nearest[j, j], "diagonal factor")
+            for k in range(j + 1, n):
+                _guard(nearest[k, j], "cross factor")
+                _guard(nearest[j, k], "cross factor")
     return factor
 
 
@@ -261,28 +276,43 @@ class KernelSpec:
     def __post_init__(self):
         kernel_terms(self.family, self.n, self.l)
 
-    def evaluate(self, z, wbar, *, symmetrize=False):
+    def evaluate(self, z, wbar, *, nodes=None, symmetrize=False):
         """The kernel at one point z (n coordinates) and one row or an
         (m, n) array of rows wbar.
 
+        Without ``nodes`` the rows hold conjugated points.  With ``nodes``
+        (the conjugated nodes of a rule) they hold indices into it, and
+        the row (i_1, ..., i_n) stands for the point whose conjugate is
+        (nodes[i_1], ..., nodes[i_n]).  Plain rows are their own node
+        table, so both forms take the same path and give the same bits.
+        The factors 1 - z_a wbar_b are gathered from a table of one value
+        per coordinate of z and node (see :func:`_denominator_factors`),
+        and the pair differences wbar_a - wbar_b from the columns of
+        conjugated points.
+
         With ``symmetrize=True`` it is the mean of the kernel over the n!
         permutations of the columns of wbar, each taken in modulus first
-        when ``positive``.  The n^2 factors 1 - z_a wbar_b and the pair
-        differences wbar_a - wbar_b are built once for all permutations,
-        and each permutation multiplies them in the order an evaluation on
-        permuted columns would, so the mean equals the mean of n! separate
-        evaluations bit for bit.  A factor within ``POLE_GUARD`` of zero
-        raises :class:`PoleProximity`, as the unpermuted kernel would.
+        when ``positive``.  The factors and differences are built once for
+        all permutations, and each permutation multiplies them in the
+        order an evaluation on permuted columns would, so the mean equals
+        the mean of n! separate evaluations bit for bit.  A factor within
+        ``POLE_GUARD`` of zero raises :class:`PoleProximity`, as the
+        unpermuted kernel would.
         """
         n = self.n
-        wbar, single = _as_rows(wbar, n)
+        if nodes is None:
+            wbar, single = _as_rows(wbar, n)
+            nodes, index = wbar.ravel(), np.arange(wbar.size).reshape(wbar.shape)
+        else:
+            index, single = _as_rows(wbar, n, dtype=None)
         z = np.asarray(z, dtype=complex)
         if z.shape != (n,):
             raise ValueError(f"z must have {n} coordinates, got shape {z.shape}")
         perms = list(permutations(range(n))) if symmetrize else [tuple(range(n))]
-        factor = _denominator_factors(z, wbar)
+        factor = _denominator_factors(z, nodes, index)
+        columns = [nodes.take(index[:, b]) for b in range(n)]
         pairs = {(tau[j], tau[k]) for tau in perms for j, k in combinations(range(n), 2)}
-        diffs = {(a, b): wbar[:, a] - wbar[:, b] for a, b in pairs}
+        diffs = {(a, b): columns[a] - columns[b] for a, b in pairs}
         terms = kernel_terms(self.family, n, self.l)
         out = None
         for tau in perms:
@@ -315,20 +345,25 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     reduction of the rule is used, cutting the node count by n!.  The
     average is one ``KernelSpec.evaluate(..., symmetrize=True)`` call per
     point of ``z`` and chunk, which builds the kernel's factors once for
-    all n! permutations.
+    all n! permutations.  The kernel is evaluated at the chunk's rows of
+    node indices against the rule's conjugated nodes, and ``f`` at the
+    points gathered from them.
     """
     n = spec.n
     z = np.asarray(z)
     if z.ndim not in (1, 2) or z.shape[-1] != n:
         raise ValueError(f"z must be one point of {n} coordinates or a stack of them")
     points = z if z.ndim == 2 else z[None]
-    probe = np.asarray(f(np.full((1, n), rule.nodes[0])))
+    nodes = np.asarray(rule.nodes)
+    conjugated = np.conj(nodes)
+    probe = np.asarray(f(np.full((1, n), nodes[0])))
     chunk = max(1, INTEGRAND_CHUNK // (len(points) * math.prod(probe.shape[:-1])))
 
-    def integrand(pts):
-        wbar = np.conj(pts)
-        ker = np.stack([spec.evaluate(point, wbar, symmetrize=symmetric_f) for point in points])
-        values = np.asarray(f(pts))
+    def integrand(index):
+        ker = np.stack(
+            [spec.evaluate(point, index, nodes=conjugated, symmetrize=symmetric_f) for point in points]
+        )
+        values = np.asarray(f(nodes.take(index)))
         return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
 
     out = integrate_polydisc(integrand, rule, n, symmetric=symmetric_f, chunk=chunk)

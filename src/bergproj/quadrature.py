@@ -14,8 +14,11 @@ Two rule families:
   are level sets of the distance to the singularity.
 
 Polydisc integrals are tensor products of a single disc rule, evaluated
-in chunks.  For integrands symmetric under coordinate permutations the sum
-runs over sorted index n-tuples only, each with its multiset multiplicity
+in chunks.  The integrand gets rows of node indices, one row per tensor
+point, so that one whose factors depend on a single coordinate can
+tabulate them once per node and gather them.  For integrands symmetric
+under coordinate permutations the sum runs over sorted index n-tuples
+only, each with its multiset multiplicity
 n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
 prefix of the first n - 2 indices, covering the upper triangle of the last
 two, and builds any slice of a block on its own.  A block can then be
@@ -132,17 +135,23 @@ def disc_rule(radial_order, angular_order, cluster=None, boost=None) -> Quadratu
     ``cluster`` (integer >= 1) grades radial nodes toward the boundary by
     substituting u -> 1 - (1 - u)^cluster in the squared radius, which
     integrates (1 - |w|^2)^(1/cluster - 1) type boundary growth exactly.
+    A graded rule keeps each node's exact 1 - |w|^2, that is (1 - u)^cluster,
+    in ``aux["boundary_distance"]``: its outermost radii round to 1, where
+    the distance recomputed from the node is 0 or loses its digits, and a
+    node that rounds past the circle is pulled to just inside it.
     ``boost = (factor, halfwidth)`` refines the angular grid inside the
     sector |arg w| < halfwidth by roughly ``factor`` while keeping the
     total angular weight exactly 2 pi.
     """
     u, uw = _gauss_legendre(radial_order, 0.0, 1.0)
+    boundary_distance = None
     if cluster is not None:
         gamma = int(cluster)
         if gamma < 1:
             raise ValueError("cluster exponent must be a positive integer")
         uw = uw * gamma * (1.0 - u) ** (gamma - 1)
-        u = 1.0 - (1.0 - u) ** gamma
+        boundary_distance = (1.0 - u) ** gamma
+        u = 1.0 - boundary_distance
     r = np.sqrt(u)
 
     if boost is None:
@@ -164,6 +173,11 @@ def disc_rule(radial_order, angular_order, cluster=None, boost=None) -> Quadratu
 
     nodes = (r[:, None] * np.exp(1j * theta[None, :])).ravel()
     weights = (0.5 * uw[:, None] * tw[None, :]).ravel()
+    aux = None
+    if boundary_distance is not None:
+        aux = {"boundary_distance": np.repeat(boundary_distance, len(theta))}
+        out = np.abs(nodes) > 1.0
+        nodes[out] *= (1.0 - 4.0 * np.finfo(float).eps) / np.abs(nodes[out])
     return QuadratureRule(
         nodes=nodes,
         weights=weights,
@@ -174,6 +188,7 @@ def disc_rule(radial_order, angular_order, cluster=None, boost=None) -> Quadratu
             "cluster": cluster,
             "boost": tuple(boost) if boost is not None else None,
         },
+        aux=aux,
     )
 
 
@@ -620,32 +635,34 @@ def _batch_total(acc):
 def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     """Tensor-product integral of f over the polydisc D^n.
 
-    ``f`` maps an (m, n) complex array of points to an (m,) array, or to an
-    array of shape (..., m) whose leading axes index a batch of integrands
-    that share the points; the last axis is summed against the rule weights
-    and the result has the batch shape (a complex number for an (m,)
-    integrand).  ``chunk`` is the number of points per call of ``f``.  With
-    ``symmetric=True`` (the integrand must be invariant under coordinate
-    permutations) the tensor sum is restricted to sorted index tuples with
-    multiset multiplicities, an exact reduction by up to n! in work.  ``f``
-    sees at most ``chunk`` points of a block of :func:`symmetric_blocks` at
-    a time, but the block's values and weights are held whole and summed
+    ``f`` maps an (m, n) integer array of node-index rows to an (m,)
+    array, or to an array of shape (..., m) whose leading axes index a
+    batch of integrands that share the points; the row (i_1, ..., i_n)
+    stands for the tensor point (nodes[i_1], ..., nodes[i_n]), which an
+    integrand that needs it gathers as ``rule.nodes.take(index)``.  The
+    last axis is summed against the rule weights and the result has the
+    batch shape (a complex number for an (m,) integrand).  ``chunk`` is
+    the number of rows per call of ``f``.  With ``symmetric=True`` (the
+    integrand must be invariant under coordinate permutations) the tensor
+    sum is restricted to sorted index tuples with multiset multiplicities,
+    an exact reduction by up to n! in work.  ``f`` sees at most ``chunk``
+    rows of a block of :func:`symmetric_blocks` at a time, but the block's values and weights are held whole and summed
     once, so memory grows with the largest block: the size^2/2 pairs of
     the whole rule at n = 2, the pairs at or above one index at n = 3.
     At n = 1 there is nothing to reduce and ``symmetric`` is ignored.
     """
-    nodes = np.asarray(rule.nodes)
     weights = np.asarray(rule.weights)
-    size = len(nodes)
+    size = len(weights)
     if symmetric and n > 1:
         acc = 0.0 + 0.0j
         for prefix, length, tuples in symmetric_blocks(weights, n):
             j, k, weight = tuples(slice(0, length))
             parts = []
             for part in chunk_slices(len(j), chunk):
-                columns = [np.full(len(j[part]), nodes[i]) for i in prefix]
-                pts = np.stack(columns + [nodes.take(j[part]), nodes.take(k[part])], axis=1)
-                parts.append(np.asarray(f(pts)))
+                # rows as the transpose of stacked columns, so that each
+                # column an integrand gathers with is contiguous
+                columns = [np.full(len(j[part]), i, dtype=j.dtype) for i in prefix]
+                parts.append(np.asarray(f(np.stack(columns + [j[part], k[part]]).T)))
             vals = np.concatenate(parts, axis=-1)
             _check_finite(vals, f"symmetric n={n}, prefix={prefix}")
             acc += np.sum(weight * vals, axis=-1)
@@ -656,11 +673,10 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
         multi = np.unravel_index(idx, shape)
-        pts = np.stack([nodes[ix] for ix in multi], axis=1)
         w = weights[multi[0]].copy()
         for ix in multi[1:]:
             w *= weights[ix]
-        vals = np.asarray(f(pts))
+        vals = np.asarray(f(np.stack(multi).T))
         _check_finite(vals, f"chunk at {start}")
         acc += np.sum(w * vals, axis=-1)
     return _batch_total(acc)

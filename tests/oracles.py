@@ -20,7 +20,12 @@ them, and the tests hold the new paths to them bit for bit:
 * ``KernelSpec.evaluate`` as it was before it built the n^2 denominator
   factors once, and the permutation loop of ``apply_operator``, which
   averaged n! such evaluations on permuted columns, each rebuilding the
-  factors; ``evaluate`` must match both bit for bit;
+  factors; ``evaluate`` must match both bit for bit, on rows of points
+  and on rows of node indices;
+* ``apply_operator`` as it was before it evaluated the kernel at rows of
+  node indices: every chunk's points conjugated and the kernel computed
+  row by row by the two oracles above; the operator must match it bit
+  for bit, and raise the same ``PoleProximity``;
 * the fused norm pass ``_norm_sums`` as it was before the pair sums of
   the last two indices were tabulated once per rule, when every block
   gathered the factors of its pairs and multiplied them anew; the new
@@ -34,6 +39,9 @@ them, and the tests hold the new paths to them bit for bit:
   quadrature, which the fused norm pass must match bit for bit, and
   plain Monte Carlo over the polydisc, the independent route of the
   3-sigma check.
+
+``at_points`` adapts an integrand of points to ``integrate_polydisc``,
+which hands its integrand rows of node indices.
 """
 
 import math
@@ -53,6 +61,7 @@ from bergproj.kernels import POLE_GUARD, _as_rows, family_factors
 from bergproj.quadrature import (
     BLOCK_CHUNK,
     INNER_CUTOFF,
+    INTEGRAND_CHUNK,
     TWO_PI,
     QuadratureRule,
     _check_finite,
@@ -65,6 +74,13 @@ from bergproj.quadrature import (
 )
 from bergproj.quadrature import polar_rule_at as _polar_rule_at
 from bergproj.symbolic import kernel_terms
+
+
+def at_points(f, rule):
+    """The integrand of node-index rows that evaluates the integrand of
+    points ``f`` at the points the rows stand for."""
+    nodes = np.asarray(rule.nodes)
+    return lambda index: f(nodes.take(index))
 
 
 def _integrate_symmetric_2(f, nodes, weights):
@@ -240,10 +256,32 @@ def apply_operator(spec, f, z, rule, n, chunk=1 << 18):
         w = weights[multi[0]].copy()
         for ix in multi[1:]:
             w *= weights[ix]
-        vals = spec.evaluate(z, np.conj(pts)) * np.asarray(f(pts))
+        vals = kernel_evaluate(spec, z, np.conj(pts)) * np.asarray(f(pts))
         _check_finite(vals, f"chunk at {start}")
         acc += np.sum(w * vals)
     return complex(acc)
+
+
+def row_operator(spec, f, z, rule, symmetric_f=False, budget=INTEGRAND_CHUNK):
+    """``apply_operator`` with the kernel evaluated row by row at the
+    conjugated points of each chunk, the chunks cut for a value budget of
+    ``budget`` as the operator cuts them for ``INTEGRAND_CHUNK``."""
+    n = spec.n
+    z = np.asarray(z)
+    points = z if z.ndim == 2 else z[None]
+    probe = np.asarray(f(np.full((1, n), rule.nodes[0])))
+    chunk = max(1, budget // (len(points) * math.prod(probe.shape[:-1])))
+    kernel = symmetrized_kernel if symmetric_f else kernel_evaluate
+
+    def integrand(pts):
+        wbar = np.conj(pts)
+        ker = np.stack([kernel(spec, point, wbar) for point in points])
+        values = np.asarray(f(pts))
+        return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
+
+    integrand = at_points(integrand, rule)
+    out = integrate_polydisc(integrand, rule, n, symmetric=symmetric_f, chunk=chunk)
+    return out if z.ndim == 2 else out[0]
 
 
 def _guard(values, what):
@@ -650,5 +688,5 @@ def weighted_lp_norm(f, p, weight, rule, n, symmetric=False):
     def integrand(pts):
         return np.abs(np.asarray(f(pts))) ** p * weight.evaluate(pts)
 
-    value = integrate_polydisc(integrand, rule, n, symmetric=symmetric).real
+    value = integrate_polydisc(at_points(integrand, rule), rule, n, symmetric=symmetric).real
     return value ** (1.0 / p)

@@ -191,23 +191,25 @@ class TestIntegrateBatch:
     )
     def test_rows_bit_equal_to_scalar_calls(self, n, symmetric, chunk):
         rule = disc_rule(4, 9)
-        got = integrate_polydisc(self.batch, rule, n, symmetric=symmetric, chunk=chunk)
+        batch = oracles.at_points(self.batch, rule)
+        got = integrate_polydisc(batch, rule, n, symmetric=symmetric, chunk=chunk)
         assert got.shape == (3,) and got.dtype == complex
         for row in range(3):
             one = integrate_polydisc(
-                lambda pts: self.batch(pts)[row], rule, n, symmetric=symmetric, chunk=chunk
+                lambda index: batch(index)[row], rule, n, symmetric=symmetric, chunk=chunk
             )
             assert isinstance(one, complex)
             assert got[row] == one
         if n == 1:
             # nothing to reduce at n = 1: symmetric is ignored
-            assert np.array_equal(got, integrate_polydisc(self.batch, rule, n, chunk=chunk))
+            assert np.array_equal(got, integrate_polydisc(batch, rule, n, chunk=chunk))
 
     def test_two_batch_axes(self):
         rule = disc_rule(3, 6)
-        got = integrate_polydisc(lambda pts: self.batch(pts).reshape(3, 1, -1), rule, 2)
+        batch = oracles.at_points(self.batch, rule)
+        got = integrate_polydisc(lambda index: batch(index).reshape(3, 1, -1), rule, 2)
         assert got.shape == (3, 1)
-        assert np.array_equal(got[:, 0], integrate_polydisc(self.batch, rule, 2))
+        assert np.array_equal(got[:, 0], integrate_polydisc(batch, rule, 2))
 
     def test_non_finite_row_names_its_node(self):
         rule = disc_rule(3, 6)

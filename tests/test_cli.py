@@ -151,6 +151,16 @@ class TestForelliRudinCommand:
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["value"] > 0
 
+    @pytest.mark.parametrize("eps", [0.8, 0.9])
+    def test_strong_boundary_factor_ends_in_a_verdict(self, eps, capsys):
+        # the graded rule's outermost radii round to 1; its exact boundary
+        # distances keep the integrand finite there
+        code = main(["forelli-rudin", "--eps", str(eps), "--s-exp", "0.5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "growth class: Bounded" in out
+        assert "matches the three-case theory: True" in out
+
     def test_values_are_the_classification_samples(self, tmp_path, monkeypatch):
         grid = (0.9, 0.99, 0.999, 0.9999)
         outcome = classify_forelli_rudin(0.0, 0.5, samples=grid)

@@ -27,6 +27,7 @@ from bergproj.kernels import test_function_hs as hs_family
 from bergproj.quadrature import disc_rule, singular_disc_rule
 from bergproj.symbolic import KERNEL_TABLE, rational_kernel
 from bergproj.symmetrization import elementary_symmetric, jacobian_phi
+from oracles import at_points
 
 
 def random_interior(rng, count, n, radius=0.7):
@@ -180,7 +181,7 @@ class TestSymmetrizedKernel:
 
         from bergproj.quadrature import integrate_polydisc
 
-        total = 0.5 * integrate_polydisc(integrand, rule, 2)
+        total = 0.5 * integrate_polydisc(at_points(integrand, rule), rule, 2)
         assert total == pytest.approx(1.0, rel=1e-8)
         # and the determinant formula agrees with the scalar entry point
         w0 = (0.25, -0.15)

@@ -21,16 +21,16 @@ import layertrace  # noqa: E402
 
 import bergproj.experiments as experiments  # noqa: E402
 import bergproj.symbolic as symbolic  # noqa: E402
-from bergproj.quadrature import singular_disc_rule  # noqa: E402
+from bergproj.quadrature import disc_rule, refine, singular_disc_rule  # noqa: E402
 
 
 def test_annihilation_check_fires_traced_layers():
-    rng = np.random.default_rng(3)
-    z_samples = 0.5 * rng.random((2, 2)) * np.exp(2j * np.pi * rng.random((2, 2)))
+    n, rng = 2, np.random.default_rng(3)
+    z_samples = 0.5 * rng.random((2, n)) * np.exp(2j * np.pi * rng.random((2, n)))
     tracer = layertrace.Tracer()
     tracer.install()
     try:
-        report = experiments.annihilation_check(2, z_samples=z_samples)
+        report = experiments.annihilation_check(n, z_samples=z_samples)
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
@@ -40,6 +40,11 @@ def test_annihilation_check_fires_traced_layers():
     assert metrics["kernels.apply_operator_calls"] == 2
     assert metrics["quadrature.reduce_calls"] == 2
     assert metrics["kernels.kernel_points"] > 0
+    # one kernel value per sample point and tensor point of the base rule
+    # and of its refinement
+    base = disc_rule(*experiments.DEFAULT_ANNIHILATION_RULE_ORDERS[n])
+    tensor_points = base.size**n + refine(base, 1.5, 1.5).size**n
+    assert metrics["kernels.kernel_points"] == len(z_samples) * tensor_points
     # the tracer is gone again
     assert not hasattr(experiments.annihilation_check, "__wrapped__")
 
@@ -74,7 +79,10 @@ def test_n3_blowup_fires_traced_layers():
 def test_identity_suite_fires_the_exact_layer():
     # cold caches, so the kernel table and the denominators are built
     # inside the traced run; the work counts are those of the tuple-keyed
-    # layer, so packing the keys changed the speed of the work, not its size
+    # layer, so packing the keys changed the speed of the work, not its
+    # size, less the two products (t1 - t2) * diag that the mutated
+    # decomposition controls at n = 2 and 3 no longer form once their
+    # numerators have failed (2 calls, 2,565 term products)
     for built in (symbolic.full_denominator, symbolic.diagonal_denominator, symbolic.rational_kernel):
         built.cache_clear()
     tracer = layertrace.Tracer()
@@ -87,5 +95,5 @@ def test_identity_suite_fires_the_exact_layer():
     assert report.passed
     for name in ("MultiPoly.__mul__", "MultiPoly.eval", *layertrace.VERIFIERS):
         assert tracer.fired[name] > 0, name
-    assert metrics["symbolic.poly_mul_calls"] == 354
-    assert metrics["symbolic.term_products"] == 10362
+    assert metrics["symbolic.poly_mul_calls"] == 352
+    assert metrics["symbolic.term_products"] == 7797

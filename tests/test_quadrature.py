@@ -23,11 +23,12 @@ from bergproj.quadrature import (
     WeightSpec,
     disc_rule,
     integrate_polydisc,
+    legendre_nodes,
     polar_rule_at,
     refine,
     singular_disc_rule,
 )
-from oracles import monte_carlo_polydisc, weighted_lp_norm
+from oracles import at_points, monte_carlo_polydisc, weighted_lp_norm
 
 
 def vandermonde_sq(pts):
@@ -91,6 +92,24 @@ class TestDiscRule:
     def test_all_nodes_inside_disc(self):
         rule = disc_rule(20, 12, cluster=4)
         assert np.max(np.abs(rule.nodes)) < 1.0
+
+    @pytest.mark.parametrize("cluster", [4, 5, 10])
+    def test_graded_rule_keeps_exact_boundary_distance(self, cluster):
+        # at cluster 5 and 10 the outermost radii round to 1
+        rule = disc_rule(64, 64, cluster=cluster)
+        assert np.all(np.abs(rule.nodes) <= 1.0)
+        # Gauss-Legendre nodes u on [0, 1], graded to 1 - (1 - u)^cluster
+        u = 0.5 + 0.5 * legendre_nodes(64)[0]
+        exact = (1.0 - u) ** cluster
+        distance = rule.aux["boundary_distance"]
+        assert np.array_equal(distance, np.repeat(exact, 64))
+        assert np.all(distance > 0)
+        # away from the circle the node's own 1 - |w|^2 agrees
+        inner = distance > 1e-3
+        np.testing.assert_allclose(1.0 - np.abs(rule.nodes[inner]) ** 2, distance[inner], rtol=1e-12)
+
+    def test_ungraded_rule_has_no_aux(self):
+        assert disc_rule(8, 8).aux is None
 
 
 class TestPolarRule:
@@ -176,12 +195,12 @@ class TestPolydiscIntegration:
 
     def test_vandermonde_two_vars(self):
         rule = disc_rule(10, 12)
-        val = integrate_polydisc(vandermonde_sq, rule, 2)
+        val = integrate_polydisc(at_points(vandermonde_sq, rule), rule, 2)
         assert val.real == pytest.approx(math.pi**2, rel=1e-10)
 
     def test_vandermonde_three_vars(self):
         rule = disc_rule(8, 10)
-        val = integrate_polydisc(vandermonde_sq, rule, 3, symmetric=True)
+        val = integrate_polydisc(at_points(vandermonde_sq, rule), rule, 3, symmetric=True)
         assert val.real == pytest.approx(math.pi**3, rel=1e-10)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -191,13 +210,15 @@ class TestPolydiscIntegration:
         def f(pts):
             return np.abs(np.prod(pts, axis=1)) ** 2 + np.real(np.sum(pts, axis=1))
 
+        f = at_points(f, rule)
+
         full = integrate_polydisc(f, rule, n, symmetric=False)
         reduced = integrate_polydisc(f, rule, n, symmetric=True)
         assert reduced == pytest.approx(full, rel=1e-12, abs=1e-12)
 
     def test_chunking_is_invisible(self):
         rule = disc_rule(4, 8)
-        f = lambda pts: np.abs(pts[:, 0] - pts[:, 1]) ** 2
+        f = at_points(lambda pts: np.abs(pts[:, 0] - pts[:, 1]) ** 2, rule)
         a = integrate_polydisc(f, rule, 2, chunk=1 << 18)
         b = integrate_polydisc(f, rule, 2, chunk=97)
         assert a == pytest.approx(b, rel=1e-13)

@@ -39,7 +39,7 @@ from bergproj.quadrature import (
     singular_disc_rule,
     symmetric_blocks,
 )
-from oracles import _integrate_symmetric_2, _integrate_symmetric_3, weighted_lp_norm
+from oracles import _integrate_symmetric_2, _integrate_symmetric_3, at_points, weighted_lp_norm
 
 
 def symmetric_integrand(seed, n, complex_valued):
@@ -110,7 +110,7 @@ class TestReductionAgainstOracles:
     @given(rule=rules, seed=st.integers(0, 2**16), complex_valued=st.booleans())
     def test_bitwise_equal_to_old_two_variable_path(self, rule, seed, complex_valued):
         f = symmetric_integrand(seed, 2, complex_valued)
-        new = integrate_polydisc(f, rule, 2, symmetric=True)
+        new = integrate_polydisc(at_points(f, rule), rule, 2, symmetric=True)
         old = _integrate_symmetric_2(f, rule.nodes, rule.weights)
         assert new == old
 
@@ -128,7 +128,7 @@ class TestReductionAgainstOracles:
         # cuts them evenly, so the two agree bit for bit when no block is
         # cut; with a tiny chunk they agree to roundoff
         f = symmetric_integrand(seed, 3, complex_valued)
-        new = integrate_polydisc(f, rule, 3, symmetric=True, chunk=chunk)
+        new = integrate_polydisc(at_points(f, rule), rule, 3, symmetric=True, chunk=chunk)
         old = _integrate_symmetric_3(f, rule.nodes, rule.weights, chunk)
         if chunk >= rule.size * (rule.size + 1) // 2:
             assert new == old
@@ -147,9 +147,10 @@ class TestReductionAgainstOracles:
         rule = disc_rule(radial, angular)
         assert n < 4 or rule.size <= 12
         f = symmetric_integrand(seed, n, complex_valued)
-        full = integrate_polydisc(f, rule, n, symmetric=False)
-        reduced = integrate_polydisc(f, rule, n, symmetric=True)
-        scale = integrate_polydisc(lambda pts: np.abs(f(pts)), rule, n, symmetric=False)
+        g = at_points(f, rule)
+        full = integrate_polydisc(g, rule, n, symmetric=False)
+        reduced = integrate_polydisc(g, rule, n, symmetric=True)
+        scale = integrate_polydisc(lambda index: np.abs(g(index)), rule, n, symmetric=False)
         assert abs(reduced - full) <= 1e-12 * abs(scale)
 
 
@@ -231,7 +232,7 @@ class TestCutBlocks:
             lambda pts: (0.37 - 0.81j) * tilde_shape(2, 0.9, pts),
         )
         for f in integrands:
-            new = integrate_polydisc(f, rule, 2, symmetric=True, chunk=chunk)
+            new = integrate_polydisc(at_points(f, rule), rule, 2, symmetric=True, chunk=chunk)
             assert new == _integrate_symmetric_2(f, rule.nodes, rule.weights)
 
 
