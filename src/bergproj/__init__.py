@@ -15,12 +15,9 @@ The package has three layers:
 
 from . import errors
 
-# the benchmark's layer tracer requires the package to bind the four
-# functions of this import
+# the benchmark's layer tracer requires the package to bind these four
+# functions
 from .symmetrization import (
-    PolyDiscPoint,
-    SymmetrizedPoint,
-    Permutation,
     elementary_symmetric,
     jacobian_phi,
     local_inverse_roots,
@@ -29,9 +26,6 @@ from .symmetrization import (
 
 __all__ = [
     "errors",
-    "PolyDiscPoint",
-    "SymmetrizedPoint",
-    "Permutation",
     "elementary_symmetric",
     "jacobian_phi",
     "local_inverse_roots",

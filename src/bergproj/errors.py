@@ -32,11 +32,6 @@ class OverflowInIntegrand(BergprojError):
 class QuadratureNotConverged(BergprojError):
     """A reported integral changed too much under rule refinement."""
 
-    def __init__(self, message, value=None, refined=None):
-        super().__init__(message)
-        self.value = value
-        self.refined = refined
-
 
 class NonIntegrable(BergprojError):
     """A weight average diverged under grid refinement."""

@@ -18,7 +18,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .kernels import (
     test_function_hs,
     tilde_shape,
 )
-from .symmetrization import Permutation
+from .symmetrization import Permutation, jacobian_phi
 from .quadrature import (
     PairTable,
     WeightSpec,
@@ -422,7 +422,7 @@ def blowup_experiment(n, p, s_grid=None, rule=None) -> ExperimentReport:
     per-s rules; defaults are dimension-tuned.
     """
     start = time.time()
-    s_grid = _check_ratio_inputs(n, s_grid or DEFAULT_S_GRID)
+    s_grid = _check_ratio_inputs(n, DEFAULT_S_GRID if s_grid is None else s_grid)
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     orders = tuple(rule) if rule is not None else DEFAULT_NORM_ORDERS[n]
@@ -469,7 +469,7 @@ def boundedness_scan(n, p_list, s_grid=None, rule=None) -> ExperimentReport:
     endpoint means growing.
     """
     start = time.time()
-    s_grid = _check_ratio_inputs(n, s_grid or DEFAULT_SCAN_S_GRID)
+    s_grid = _check_ratio_inputs(n, DEFAULT_SCAN_S_GRID if s_grid is None else s_grid)
     p_list = [float(p) for p in p_list]
     if not p_list or any(p <= 1.0 for p in p_list):
         raise ValueError("every scanned p must exceed 1")
@@ -589,14 +589,6 @@ ANNIHILATION_FLOOR = 1e-12
 CONTROL_THRESHOLD = 1e-3
 
 
-def _vandermonde_function(pts):
-    pts = np.asarray(pts)
-    out = np.ones(pts.shape[0], dtype=complex)
-    for j, k in combinations(range(pts.shape[1]), 2):
-        out *= pts[:, j] - pts[:, k]
-    return out
-
-
 def _alternating_monomial(exponents):
     """Antisymmetrization of a coordinate monomial over all permutations."""
 
@@ -622,9 +614,7 @@ def default_annihilation_samples(n, count=20, seed=7):
     return radius * np.exp(1j * angle)
 
 
-def annihilation_check(
-    n, z_samples=None, rule=None, negative_control=True, seed=7
-) -> ExperimentReport:
+def annihilation_check(n, z_samples=None, rule=None, seed=7) -> ExperimentReport:
     """Maximum modulus of the antisymmetric-annihilating kernel part
     applied to alternating test functions, with a non-alternating control.
 
@@ -647,13 +637,10 @@ def annihilation_check(
 
     monomial = {2: (2, 0), 3: (3, 1, 0)}[n]
     functions = [
-        ("vandermonde", _vandermonde_function, "zero"),
+        ("vandermonde", jacobian_phi, "zero"),
         ("alternating_monomial", _alternating_monomial(monomial), "zero"),
+        ("first_coordinate_control", lambda pts: np.asarray(pts)[:, 0], "nonzero"),
     ]
-    if negative_control:
-        functions.append(
-            ("first_coordinate_control", lambda pts: np.asarray(pts)[:, 0], "nonzero")
-        )
 
     def stacked(pts):
         return np.stack([function(pts) for _, function, _ in functions])

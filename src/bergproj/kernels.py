@@ -8,8 +8,8 @@ transports the antisymmetric part to symmetric functions and drives the
 blow-up experiments -- is (1/pi)^n times a signed sum of pair products
 over the shared denominator prod_{j<=k} (1 - z_k wbar_j)(1 - z_j wbar_k).
 :class:`KernelSpec` evaluates that table, vectorized over rows of
-integration points; :func:`bergproj.symbolic.rational_kernel` builds the
-same table exactly, and the two layers are tested against each other.
+integration points; :func:`bergproj.symbolic.kernel_numerator` builds the
+same numerators exactly, and the two layers are tested against each other.
 :func:`apply_operator` hands it rows of node indices, from which it
 gathers the factors 1 - z_a wbar_b out of one table of n values per node.
 """
@@ -86,8 +86,8 @@ def bergman_symmetrized(p, q, tol=1e-12):
         for j in range(n):
             prod *= bergman_disc(z[j], wbar[perm.mapping[j]])
         total += perm.sign * prod
-    jz = jacobian_phi(tuple(z))
-    jw = jacobian_phi(tuple(ws))
+    jz = jacobian_phi(z)
+    jw = jacobian_phi(ws)
     denom = jz * np.conj(jw)
     if abs(denom) < POLE_GUARD:
         raise PoleProximity("symmetrized kernel at the branch locus")
@@ -263,15 +263,12 @@ class KernelSpec:
 
     ``family`` is one of the families of
     :data:`bergproj.symbolic.KERNEL_TABLE`: bergman_polydisc, t1, t2,
-    tilde, or pl with its level ``l`` in 1..n.  ``positive=True``
-    integrates against the modulus of the kernel (the absolute-kernel
-    majorant operator).
+    tilde, or pl with its level ``l`` in 1..n.
     """
 
     family: str
     n: int
     l: int | None = None
-    positive: bool = False
 
     def __post_init__(self):
         kernel_terms(self.family, self.n, self.l)
@@ -291,8 +288,7 @@ class KernelSpec:
         conjugated points.
 
         With ``symmetrize=True`` it is the mean of the kernel over the n!
-        permutations of the columns of wbar, each taken in modulus first
-        when ``positive``.  The factors and differences are built once for
+        permutations of the columns of wbar.  The factors and differences are built once for
         all permutations, and each permutation multiplies them in the
         order an evaluation on permuted columns would, so the mean equals
         the mean of n! separate evaluations bit for bit.  A factor within
@@ -317,8 +313,6 @@ class KernelSpec:
         out = None
         for tau in perms:
             value = _permuted_kernel(terms, z, tau, factor, diffs)
-            if self.positive:
-                value = np.abs(value)
             out = value if out is None else out + value
         if symmetrize:
             out = out / len(perms)

@@ -99,9 +99,6 @@ class QuadratureRule:
     def size(self) -> int:
         return len(self.nodes)
 
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
 
 #: Gauss-Legendre nodes and weights on [-1, 1] by order, filled on first
 #: use; the arrays are read-only because every caller shares them
@@ -686,18 +683,14 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
 class WeightSpec:
     """A positive weight on the polydisc (or the disc, for n = 1).
 
-    kinds: ``constant`` (the weight 1), ``jacobian_power`` (modulus of the
-    coordinate Vandermonde raised to ``exponent``), ``point_product``
+    kinds: ``jacobian_power`` (modulus of the coordinate Vandermonde raised
+    to ``exponent``; exponent 0 is the weight 1), ``point_product``
     (product over reference points a of |a - w|^exponent, one variable).
     """
 
     kind: str
     exponent: float = 0.0
     points: tuple = ()
-
-    @classmethod
-    def constant(cls):
-        return cls(kind="constant")
 
     @classmethod
     def jacobian_power(cls, exponent):
@@ -716,8 +709,6 @@ class WeightSpec:
         if pts.ndim == 1:
             pts = pts[:, None]
         m, n = pts.shape
-        if self.kind == "constant":
-            return np.ones(m)
         if self.kind == "jacobian_power":
             out = np.ones(m)
             for j in range(n):

@@ -17,7 +17,7 @@ conjugated integration variables w_0..w_{n-1} (written wbar in formulas).
 
 This module owns the kernel table, :data:`KERNEL_TABLE`, which puts every
 kernel, the polydisc Bergman kernel included, over one shared denominator;
-:func:`rational_kernel` builds it exactly and
+:func:`kernel_numerator` and :func:`full_denominator` build it exactly and
 :class:`bergproj.kernels.KernelSpec` evaluates it in floats.
 
 The module has no operations on one block of variables (relabeling,
@@ -30,7 +30,6 @@ tuple-keyed oracle layer.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, repeat
 
@@ -184,9 +183,6 @@ class MultiPoly:
     def n_terms(self):
         return len(self.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def eval(self, point):
         """Value at a point, one number per variable, as a complex float.
 
@@ -284,37 +280,6 @@ def diagonal_denominator(n):
     return out
 
 
-@dataclass(frozen=True)
-class RationalFn:
-    """A ratio of two :class:`MultiPoly`; ``n`` is the kernel block size."""
-
-    num: MultiPoly
-    den: MultiPoly
-    n: int
-
-    def __post_init__(self):
-        if self.den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-
-    def eval(self, point):
-        return self.num.eval(point) / self.den.eval(point)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalFn):
-            return RationalFn(self.num * other.num, self.den * other.den, self.n)
-        return RationalFn(self.num.scale(other), self.den, self.n)
-
-    def __add__(self, other):
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den, self.n
-        )
-
-    def __sub__(self, other):
-        return RationalFn(
-            self.num * other.den - other.num * self.den, self.den * other.den, self.n
-        )
-
-
 # ---------------------------------------------------------------------------
 # the kernel table
 #
@@ -331,7 +296,7 @@ class RationalFn:
 # the reproducing part T2 is P_1, the annihilating part T1 is P_n - P_1, and
 # the conjugate-Vandermonde kernel takes the squared difference at every
 # pair.  kernels.KernelSpec evaluates the table in floats and
-# rational_kernel builds it exactly.
+# kernel_numerator builds its numerators exactly.
 # ---------------------------------------------------------------------------
 
 #: family -> signed terms (sign, level): the term of level l is the numerator
@@ -385,6 +350,7 @@ def _pair_factor(name, n, j, k):
     return diff * diff
 
 
+@cache
 def kernel_numerator(family, n, l=None):
     """The numerator of one kernel of :data:`KERNEL_TABLE` over
     :func:`full_denominator`, exactly and without its constant (1/pi)^n."""
@@ -395,13 +361,6 @@ def kernel_numerator(family, n, l=None):
             term = term * _pair_factor(name, n, j, k)
         num = num + term if sign > 0 else num - term
     return num
-
-
-@cache
-def rational_kernel(family, n, l=None):
-    """One kernel of :data:`KERNEL_TABLE`, exactly and without its constant
-    (1/pi)^n: :func:`kernel_numerator` over :func:`full_denominator`."""
-    return RationalFn(kernel_numerator(family, n, l), full_denominator(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +419,11 @@ def verify_kernel_decomposition(n, mutate=False, collect=None):
     is checked only when the first holds: it is the costlier, and the
     verdict is already False without it.
     """
-    t1 = rational_kernel("t1", n).num
-    t2 = rational_kernel("t2", n).num
+    t1 = kernel_numerator("t1", n)
+    t2 = kernel_numerator("t2", n)
     if mutate:
         t2 = -t2
-    bergman = rational_kernel("bergman_polydisc", n).num
+    bergman = kernel_numerator("bergman_polydisc", n)
     den = full_denominator(n)
     if collect is not None:
         collect["t1_terms"] = t1.n_terms

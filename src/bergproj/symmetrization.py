@@ -6,19 +6,21 @@ whose signed coefficients are those symmetric values; there are n! of them,
 one per ordering of the roots.  The complex Jacobian of the map is the
 Vandermonde determinant of the tuple.
 
-No driver reaches the root machinery (the two point classes,
-``elementary_symmetric``, ``local_inverse_roots``, ``local_inverses`` and
-``in_symmetrized_polydisc``): the experiments use only
-:class:`Permutation`.  It stays because the benchmark's layer tracer wraps
-these names, with ``Permutation.group``, and requires ``bergproj`` to bind
-them; ``bergproj.kernels.bergman_symmetrized`` uses the roots.
+Points of both the polydisc and the symmetrized polydisc are plain
+sequences of complex numbers.  The experiments use :class:`Permutation`
+and, in the annihilation check, :func:`jacobian_phi`.  No driver reaches
+the root machinery (``elementary_symmetric``, ``local_inverse_roots``,
+``local_inverses`` and ``in_symmetrized_polydisc``).  It stays because
+the benchmark's layer tracer wraps these names, with
+``Permutation.group``, and requires ``bergproj`` to bind them;
+``bergproj.kernels.bergman_symmetrized`` uses the roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations as _all_orderings
+from itertools import combinations, permutations as _all_orderings
 
 import numpy as np
 
@@ -26,40 +28,6 @@ from .errors import NonConvergence
 
 #: fuzz used when grouping root arguments for the canonical ordering
 _ARG_FUZZ = 1e-12
-
-
-@dataclass(frozen=True)
-class PolyDiscPoint:
-    """A point of the polydisc D^n, stored as an n-tuple of complex numbers."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
-
-
-@dataclass(frozen=True)
-class SymmetrizedPoint:
-    """A point of the symmetrized polydisc: the n elementary symmetric values."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=complex)
 
 
 def _parity_sign(mapping: tuple) -> int:
@@ -91,69 +59,44 @@ class Permutation:
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "sign", _parity_sign(mapping))
 
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        mapping = list(range(n))
-        mapping[i], mapping[j] = mapping[j], mapping[i]
-        return cls(tuple(mapping))
-
     @classmethod
     def group(cls, n: int):
         """All n! permutations, in lexicographic order of the mapping."""
         return [cls(m) for m in _all_orderings(range(n))]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ValueError("size mismatch in composition")
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(self.n)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, image in enumerate(self.mapping):
-            inv[image] = i
-        return Permutation(tuple(inv))
-
     def apply(self, values):
         """Reorder a sequence: result[i] = values[mapping[i]]."""
-        return tuple(values[self.mapping[i]] for i in range(self.n))
+        return tuple(values[i] for i in self.mapping)
 
 
-def elementary_symmetric(w) -> SymmetrizedPoint:
+def elementary_symmetric(w) -> tuple:
     """Symmetrize a polydisc point: all n elementary symmetric polynomials.
 
     Uses the stable one-root-at-a-time recurrence: appending a root r maps
     e_k -> e_k + r * e_{k-1}.
     """
-    coords = w.coords if isinstance(w, PolyDiscPoint) else tuple(w)
-    coords = tuple(complex(c) for c in coords)
+    coords = tuple(complex(c) for c in w)
     n = len(coords)
     e = [0j] * (n + 1)
     e[0] = 1.0 + 0j
     for m, root in enumerate(coords, start=1):
         for k in range(m, 0, -1):
             e[k] = e[k] + root * e[k - 1]
-    return SymmetrizedPoint(tuple(e[1:]))
+    return tuple(e[1:])
 
 
-def jacobian_phi(w) -> complex:
-    """Complex Jacobian of the symmetrization map: prod_{j<k} (w_j - w_k)."""
-    coords = w.coords if isinstance(w, PolyDiscPoint) else tuple(w)
-    coords = tuple(complex(c) for c in coords)
-    n = len(coords)
-    out = 1.0 + 0j
-    for j in range(n):
-        for k in range(j + 1, n):
-            out *= coords[j] - coords[k]
-    return out
+def jacobian_phi(w):
+    """Complex Jacobian of the symmetrization map: prod_{j<k} (w_j - w_k).
+
+    ``w`` is one point, which gives a complex number, or an (m, n) array
+    of rows, which gives m values; the pairs multiply in the order of
+    ``combinations(range(n), 2)``.
+    """
+    pts = np.asarray(w, dtype=complex)
+    out = np.ones(pts.shape[:-1], dtype=complex)
+    for j, k in combinations(range(pts.shape[-1]), 2):
+        out *= pts[..., j] - pts[..., k]
+    return out if pts.ndim > 1 else complex(out)
 
 
 def _canonical_sort(roots, fuzz: float = _ARG_FUZZ):
@@ -177,9 +120,8 @@ def _canonical_sort(roots, fuzz: float = _ARG_FUZZ):
 
 def _monic_coefficients(p) -> list:
     """Descending coefficients of t^n - p_1 t^{n-1} + ... + (-1)^n p_n."""
-    coords = p.coords if isinstance(p, SymmetrizedPoint) else tuple(p)
     coeffs = [1.0 + 0j]
-    for k, pk in enumerate(coords, start=1):
+    for k, pk in enumerate(p, start=1):
         coeffs.append(((-1) ** k) * complex(pk))
     return coeffs
 
@@ -226,13 +168,13 @@ def local_inverse_roots(p, tol: float = 1e-12) -> list:
 
 
 def local_inverses(p, tol: float = 1e-12) -> list:
-    """All n! orderings of the root multiset, as polydisc points.
+    """All n! orderings of the root multiset, as tuples.
 
     These are exactly the values of the n! local inverses of the
     symmetrization map at ``p`` (for p off the branch locus).
     """
     roots = local_inverse_roots(p, tol=tol)
-    return [PolyDiscPoint(perm.apply(roots)) for perm in Permutation.group(len(roots))]
+    return [perm.apply(roots) for perm in Permutation.group(len(roots))]
 
 
 def in_symmetrized_polydisc(p, tol: float = 1e-9) -> bool:

@@ -339,8 +339,6 @@ def kernel_evaluate(spec, z, wbar):
     cross, diag = _shared_denominator(z, wbar)
     num = _term_sum(kernel_terms(spec.family, n, spec.l), z, wbar, cross)
     out = num / (math.pi**n * cross * diag)
-    if spec.positive:
-        out = np.abs(out)
     return out[0] if single else out
 
 

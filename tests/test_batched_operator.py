@@ -52,7 +52,7 @@ def operator_cases(draw):
     n = draw(st.sampled_from([2, 3]))
     family = draw(st.sampled_from(FAMILIES))
     l = draw(st.integers(1, n)) if family == "pl" else None
-    spec = KernelSpec(family, n, l=l, positive=draw(st.booleans()))
+    spec = KernelSpec(family, n, l=l)
     if n == 2:
         rule = disc_rule(draw(st.integers(2, 6)), draw(st.integers(4, 12)))
     else:

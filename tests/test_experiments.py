@@ -23,7 +23,6 @@ from bergproj.experiments import (
     _alternating_monomial,
     _fit_line,
     _leaves_weight_class,
-    _vandermonde_function,
     annihilation_check,
     blowup_experiment,
     boundedness_scan,
@@ -35,6 +34,7 @@ from bergproj.experiments import (
 )
 from bergproj.kernels import KernelSpec
 from bergproj.quadrature import disc_rule, refine
+from bergproj.symmetrization import jacobian_phi
 import oracles
 
 
@@ -153,6 +153,14 @@ class TestBlowupExperiment:
         with pytest.raises(ValueError):
             blowup_experiment(2, 4.0, s_grid=(0.99999999,))
 
+    def test_only_a_missing_grid_takes_the_default(self, shallow_blowup):
+        # an empty grid is refused rather than replaced by the default
+        # one, and a numpy array is a grid like any other sequence
+        with pytest.raises(ValueError, match="at least two points"):
+            blowup_experiment(2, 4.0, s_grid=[])
+        again = blowup_experiment(2, 4.0, s_grid=np.array([0.7, 0.9]))
+        assert strip_wall_time(again) == strip_wall_time(shallow_blowup)
+
     def test_non_convergence_aborts(self, monkeypatch):
         import bergproj.experiments as experiments
 
@@ -192,6 +200,12 @@ class TestBoundednessScan:
         with pytest.raises(ValueError):
             boundedness_scan(2, [0.9])
 
+    def test_only_a_missing_grid_takes_the_default(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            boundedness_scan(2, [2.0], s_grid=[])
+        report = boundedness_scan(2, [2.0], s_grid=np.array([0.7, 0.9]))
+        assert report.s_grid == [0.7, 0.9] and report.passed
+
 
 class TestAnnihilationCheck:
     def test_alternating_inputs_annihilated(self, annihilation_report):
@@ -216,7 +230,7 @@ class TestAnnihilationCheck:
         report = annihilation_check(n, z_samples=z_samples, rule=rule)
         base = rule if rule is not None else disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
         functions = [
-            _vandermonde_function,
+            jacobian_phi,
             _alternating_monomial({2: (2, 0), 3: (3, 1, 0)}[n]),
             lambda pts: pts[:, 0],
         ]
@@ -229,11 +243,6 @@ class TestAnnihilationCheck:
             )
             assert abs(row["max_abs"] - np.max(np.abs(fine))) <= 1e-13 * scale
             assert abs(row["delta"] - np.max(np.abs(fine - coarse))) <= 1e-13 * scale
-
-    def test_control_can_be_disabled(self):
-        report = annihilation_check(2, z_samples=np.array([[0.2, 0.1j]]),
-                                    negative_control=False)
-        assert len(report.rows) == 2
 
     def test_default_samples(self):
         samples = default_annihilation_samples(3)

@@ -83,7 +83,7 @@ def test_identity_suite_fires_the_exact_layer():
     # size, less the two products (t1 - t2) * diag that the mutated
     # decomposition controls at n = 2 and 3 no longer form once their
     # numerators have failed (2 calls, 2,565 term products)
-    for built in (symbolic.full_denominator, symbolic.diagonal_denominator, symbolic.rational_kernel):
+    for built in (symbolic.full_denominator, symbolic.diagonal_denominator, symbolic.kernel_numerator):
         built.cache_clear()
     tracer = layertrace.Tracer()
     tracer.install()

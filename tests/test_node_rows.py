@@ -34,8 +34,7 @@ def specs(n):
     out = []
     for family in KERNEL_TABLE:
         for l in range(1, n + 1) if family == "pl" else [None]:
-            for positive in (False, True):
-                out.append(KernelSpec(family, n, l=l, positive=positive))
+            out.append(KernelSpec(family, n, l=l))
     return out
 
 

@@ -18,11 +18,9 @@ import oracles
 from bergproj.symbolic import (
     DIGIT_MAX,
     MultiPoly,
-    RationalFn,
     diagonal_denominator,
     full_denominator,
     kernel_numerator,
-    rational_kernel,
     unpack,
 )
 from bergproj.symmetrization import Permutation
@@ -87,7 +85,7 @@ class TestOracle:
         assert same(f + c, of + c) and same(c - f, c - of)
         assert (f == g) == (of == og)
         assert (f == c) == (of == c)
-        assert (f * g == g * f) and (f - f).is_zero()
+        assert (f * g == g * f) and not (f - f).terms
 
     @settings(max_examples=60, deadline=None)
     @given(poly_pairs(count=2, min_vars=2), st.data())
@@ -97,9 +95,10 @@ class TestOracle:
         length = data.draw(st.integers(1, nvars - start))
         mapping = data.draw(st.permutations(range(length)))
         perm = Permutation(tuple(mapping))
+        inverse = Permutation(sorted(range(length), key=mapping.__getitem__))
         max_deg = data.draw(st.integers(0, 3 * length))
         permuted = oracles.permute_block(of, start, length, perm)
-        assert oracles.permute_block(permuted, start, length, perm.inverse()) == of
+        assert oracles.permute_block(permuted, start, length, inverse) == of
         assert oracles.mul_truncate_block(of, og, start, length, max_deg) == (
             oracles.truncate_block_degree(of * og, start, length, max_deg)
         )
@@ -130,9 +129,8 @@ def test_kernel_builds(n):
     assert same(diagonal_denominator(n), oracles.tuple_diagonal_denominator(n))
     levels = [("bergman_polydisc", None), ("t1", None), ("t2", None), ("tilde", None)]
     for family, l in levels + [("pl", l) for l in range(1, n + 1)]:
-        kernel = rational_kernel(family, n, l)
-        assert same(kernel.num, oracles.tuple_kernel_numerator(family, n, l)), (family, l)
-        assert kernel.den is full_denominator(n)
+        built = kernel_numerator(family, n, l)
+        assert same(built, oracles.tuple_kernel_numerator(family, n, l)), (family, l)
 
 
 def test_kernel_builds_in_ten_variables():
@@ -168,8 +166,6 @@ class TestDigitGuard:
             lambda: MultiPoly(2, {(200, 0): 1}) * MultiPoly(2, {(DIGIT_MAX - 199, 0): 1}),
             lambda: MultiPoly(2, {(0, 128): 1}) ** 2,
             lambda: MultiPoly(3, {(1, 100, 0): 2}) ** 3,
-            lambda: RationalFn(MultiPoly(2, {(200, 0): 1}), MultiPoly.constant(2, 1), 1)
-            * RationalFn(MultiPoly(2, {(56, 0): 1}), MultiPoly.constant(2, 1), 1),
         ],
     )
     def test_product_past_the_digit_raises(self, make):

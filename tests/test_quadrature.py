@@ -66,7 +66,7 @@ class TestDiscRule:
     )
     def test_weights_sum_to_pi(self, kwargs):
         rule = disc_rule(16, 24, **kwargs)
-        assert rule.total_weight() == pytest.approx(math.pi, abs=1e-12)
+        assert np.sum(rule.weights) == pytest.approx(math.pi, abs=1e-12)
 
     def test_moment_exactness(self):
         rule = disc_rule(12, 16)
@@ -115,7 +115,7 @@ class TestDiscRule:
 class TestPolarRule:
     def test_smooth_mass(self):
         rule = polar_rule_at(0.37 + 0.21j, 24, 24)
-        assert rule.total_weight() == pytest.approx(math.pi, rel=1e-7)
+        assert np.sum(rule.weights) == pytest.approx(math.pi, rel=1e-7)
 
     def test_smooth_integrand_interior_center(self):
         rule = polar_rule_at(0.5, 24, 24)
@@ -146,7 +146,7 @@ class TestPolarRule:
         # about a point of the circle every ring is an arc facing the disc
         for center in (1.0, -1j, complex(np.exp(0.7j))):
             rule = polar_rule_at(center, 10, 16)
-            assert rule.total_weight() == pytest.approx(math.pi, rel=1e-12)
+            assert np.sum(rule.weights) == pytest.approx(math.pi, rel=1e-12)
             assert np.max(np.abs(rule.nodes)) < 1.0
             assert np.all(rule.weights > 0)
 
@@ -178,7 +178,7 @@ class TestRefine:
         assert fine.descriptor["radial_order"] == 16
         assert fine.descriptor["angular_order"] == 24
         assert fine.descriptor["cluster"] == 2
-        assert fine.total_weight() == pytest.approx(math.pi, abs=1e-12)
+        assert np.sum(fine.weights) == pytest.approx(math.pi, abs=1e-12)
 
     def test_polar_refinement(self):
         rule = singular_disc_rule(0.9, 16, 16)
@@ -246,9 +246,11 @@ class TestMonteCarlo:
 
 
 class TestWeightSpec:
-    def test_constant(self):
-        w = WeightSpec.constant()
-        np.testing.assert_allclose(w.evaluate(np.zeros((4, 2), complex)), 1.0)
+    def test_exponent_zero_is_exactly_one(self):
+        # coincident coordinates included, where the factor is 0^0
+        w = WeightSpec.jacobian_power(0.0)
+        for n in (1, 2, 3):
+            np.testing.assert_array_equal(w.evaluate(np.zeros((4, n), complex)), 1.0)
 
     def test_jacobian_power(self):
         w = WeightSpec.jacobian_power(2.0)
@@ -271,14 +273,14 @@ class TestWeightedNorm:
     def test_constant_function(self):
         rule = disc_rule(8, 8)
         val = weighted_lp_norm(
-            lambda pts: np.ones(len(pts)), 4.0, WeightSpec.constant(), rule, 2
+            lambda pts: np.ones(len(pts)), 4.0, WeightSpec.jacobian_power(0.0), rule, 2
         )
         assert val == pytest.approx((math.pi**2) ** 0.25, rel=1e-12)
 
     def test_identity_function_disc(self):
         rule = disc_rule(8, 8)
         val = weighted_lp_norm(
-            lambda pts: pts[:, 0], 2.0, WeightSpec.constant(), rule, 1
+            lambda pts: pts[:, 0], 2.0, WeightSpec.jacobian_power(0.0), rule, 1
         )
         assert val == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
 
@@ -298,7 +300,7 @@ class TestWeightedNorm:
             weighted_lp_norm(
                 lambda pts: np.ones(len(pts)),
                 0.0,
-                WeightSpec.constant(),
+                WeightSpec.jacobian_power(0.0),
                 disc_rule(4, 4),
                 1,
             )

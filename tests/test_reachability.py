@@ -1,13 +1,16 @@
-"""Every top-level definition of ``src/bergproj`` is reached from a verdict.
+"""Every definition of ``src/bergproj`` is reached from a verdict.
 
 The walk starts at the six experiment drivers and ``cli.main``, at the
 package names ``bergbench/workloads.py`` imports, and at the names the
 benchmark's layer tracer wraps (``layertrace.FUNCTIONS`` and ``METHODS``,
-read only).  A definition (module-level function, class or assigned name)
-is reached when a reached definition names it: directly, through a
-relative import, or as an attribute of an imported package module.  A
-class is one definition, methods included.  Names are matched without
-scopes, so the walk can only err toward keeping code.
+read only).  A top-level definition (module-level function, class or
+assigned name) is reached when a reached definition names it: directly,
+through a relative import, or as an attribute of an imported package
+module.  A method that is not a dunder is a definition of its own: it is
+reached when its class is and a reached definition, ``workloads.py`` or
+``layertrace.METHODS`` names it as an attribute.  The rest of a class
+body, dunder methods included, goes with the class.  Names are matched
+without scopes, so the walk can only err toward keeping code.
 """
 
 import ast
@@ -39,10 +42,20 @@ KEEP = {
 }
 
 
+def _is_method(node):
+    name = getattr(node, "name", "__")
+    return isinstance(node, ast.FunctionDef) and not (name.startswith("__") and name.endswith("__"))
+
+
+def _attributes(nodes):
+    return {sub.attr for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _graph():
     """(module, name) -> (line, the (module, name) pairs its body uses),
-    and a resolver of a (module, name) through re-exporting imports."""
-    modules = {}
+    where a method's name is "Class.method"; a resolver of a (module,
+    name) through re-exporting imports; and method name -> its keys."""
+    modules, methods = {}, {}
     for path in sorted((ROOT / "src" / "bergproj").glob("*.py")):
         tree = ast.parse(path.read_text())
         defs, aliases = {}, {}
@@ -52,14 +65,26 @@ def _graph():
                     target = (node.module, alias.name) if node.module else (alias.name, None)
                     aliases[alias.asname or alias.name] = target
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            parts = [node]
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                names = [node.name]
+                # the class stands for its body without its methods
+                parts = node.decorator_list + node.bases + node.keywords
+                for sub in node.body:
+                    if not _is_method(sub):
+                        parts.append(sub)
+                        continue
+                    key = f"{node.name}.{sub.name}"
+                    defs[key] = (sub.lineno, [sub])
+                    methods.setdefault(sub.name, []).append((path.stem, key))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = getattr(node, "targets", [getattr(node, "target", None)])
                 names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
             else:
                 continue
-            defs.update((name, node) for name in names if not name.startswith("__"))
+            defs.update((name, (node.lineno, parts)) for name in names if not name.startswith("__"))
         modules[path.stem] = (defs, aliases)
 
     def resolve(module, name):
@@ -69,9 +94,9 @@ def _graph():
 
     graph = {}
     for module, (defs, aliases) in modules.items():
-        for name, node in defs.items():
-            used = set()
-            for sub in ast.walk(node):
+        for name, (line, parts) in defs.items():
+            used = {key for attr in _attributes(parts) for key in methods.get(attr, ())}
+            for sub in (sub for part in parts for sub in ast.walk(part)):
                 if isinstance(sub, ast.Name) and sub.id in defs:
                     used.add((module, sub.id))
                 elif isinstance(sub, ast.Name) and aliases.get(sub.id, (0, None))[1]:
@@ -80,33 +105,44 @@ def _graph():
                     target = aliases.get(sub.value.id)
                     if target is not None and target[1] is None:
                         used.add(resolve(target[0], sub.attr))
-            graph[(module, name)] = (node.lineno, used - {None})
-    return graph, resolve
+            graph[(module, name)] = (line, used - {None})
+    return graph, resolve, methods
 
 
-def _entry_points():
+def _entry_points(methods):
     entries = [("experiments", name) for name in DRIVERS] + [("cli", "main")]
-    for node in ast.walk(ast.parse((ROOT / "bergbench" / "workloads.py").read_text())):
+    workloads = ast.parse((ROOT / "bergbench" / "workloads.py").read_text())
+    for node in ast.walk(workloads):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bergproj."):
             entries += [(node.module.split(".")[1], alias.name) for alias in node.names]
+    entries += [key for attr in _attributes([workloads]) for key in methods.get(attr, ())]
     entries += [(home.split(".")[1], name) for name, (home, *_) in layertrace.FUNCTIONS.items()]
-    entries += [(home.split(".")[1], label.split(".")[0]) for label, (home, _) in layertrace.METHODS.items()]
+    for label, (home, _) in layertrace.METHODS.items():
+        entries += [(home.split(".")[1], label.split(".")[0])]
+        entries += [key for key in methods.get(label.split(".")[1], ()) if key[1] == label]
     return entries
 
 
 def _closure(graph, roots):
-    reached, todo = set(), list(roots)
+    """Everything the roots reach; a method waits until its class is reached."""
+    reached, waiting, todo = set(), {}, list(roots)
     while todo:
         key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            todo.extend(graph[key][1])
+        if key in reached:
+            continue
+        owner = (key[0], key[1].split(".")[0])
+        if owner != key and owner not in reached:
+            waiting.setdefault(owner, []).append(key)
+            continue
+        reached.add(key)
+        todo.extend(graph[key][1])
+        todo.extend(waiting.pop(key, ()))
     return reached
 
 
 def test_every_definition_is_reached():
-    graph, resolve = _graph()
-    roots = [resolve(*entry) for entry in _entry_points()]
+    graph, resolve, methods = _graph()
+    roots = [resolve(*entry) for entry in _entry_points(methods)]
     assert None not in roots, "an entry point has no definition in src/bergproj"
     unreached = sorted(set(graph) - _closure(graph, roots + sorted(KEEP)))
     assert not unreached, "reached by no entry point: " + ", ".join(

@@ -42,8 +42,7 @@ def kernel_specs(n):
     for family in KERNEL_TABLE:
         levels = range(1, n + 1) if family == "pl" else [None]
         for l in levels:
-            for positive in (False, True):
-                specs.append(KernelSpec(family, n, l=l, positive=positive))
+            specs.append(KernelSpec(family, n, l=l))
     return specs
 
 
