@@ -66,15 +66,14 @@ def stack_of(functions):
 
 
 class TestOperatorAgainstRowOracle:
+    # every spec runs both a single function and a stack of them, rather
+    # than leaving the choice to a handful of drawn examples
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batched"])
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("spec", specs(2) + specs(3), ids=repr)
     @settings(max_examples=4, deadline=None)
-    @given(
-        data=st.data(),
-        budget=st.sampled_from([INTEGRAND_CHUNK, 1000, 97]),
-        batched=st.booleans(),
-    )
-    def test_bit_equal(self, spec, symmetric, data, budget, batched):
+    @given(data=st.data(), budget=st.sampled_from([INTEGRAND_CHUNK, 1000, 97]))
+    def test_bit_equal(self, spec, symmetric, batched, data, budget):
         rule, z = data.draw(operator_cases(spec.n))
         functions = (symmetric_functions if symmetric else general_functions)(spec.n)
         f = stack_of(functions) if batched else functions[0]

@@ -166,6 +166,9 @@ class TestDigitGuard:
             lambda: MultiPoly(2, {(200, 0): 1}) * MultiPoly(2, {(DIGIT_MAX - 199, 0): 1}),
             lambda: MultiPoly(2, {(0, 128): 1}) ** 2,
             lambda: MultiPoly(3, {(1, 100, 0): 2}) ** 3,
+            # a lower term in an operand does not hide the top one
+            lambda: (MultiPoly(2, {(200, 0): 1}) + MultiPoly.constant(2, 1))
+            * MultiPoly(2, {(56, 0): 1}),
         ],
     )
     def test_product_past_the_digit_raises(self, make):

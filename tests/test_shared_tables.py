@@ -79,14 +79,16 @@ class TestKernelEvaluate:
 
         assert got.tobytes() == symmetrized_kernel(spec, z, wbar, evaluate).tobytes()
 
+    @pytest.mark.parametrize("symmetrize", [False, True])
     @pytest.mark.parametrize("spec", kernel_specs(3), ids=repr)
-    def test_chunk_sized_rows(self, spec):
+    def test_chunk_sized_rows(self, spec, symmetrize):
         # arrays large enough for numpy to reuse temporaries in place
         rng = np.random.default_rng(11)
         z = random_points(rng, 1, 3)[0]
         wbar = np.conj(random_points(rng, 40_000, 3))
-        got = spec.evaluate(z, wbar, symmetrize=True)
-        assert got.tobytes() == symmetrized_kernel(spec, z, wbar).tobytes()
+        got = spec.evaluate(z, wbar, symmetrize=symmetrize)
+        oracle = symmetrized_kernel if symmetrize else kernel_evaluate
+        assert got.tobytes() == oracle(spec, z, wbar).tobytes()
 
     def test_one_row(self):
         rng = np.random.default_rng(5)

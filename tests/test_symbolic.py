@@ -392,3 +392,19 @@ class TestRationalLayer:
             3,
         )
         assert not rational_equal(diff, swap_block_variables(diff, 0, 2, "w"))
+
+    def test_pl_kernel_eval_at_point(self):
+        # P_2 in three variables: the symmetric factor at the pair (0, 1),
+        # the Vandermonde factor at (0, 2) and (1, 2)
+        point = (0.1, 0.2j, -0.3, 0.05 - 0.1j, 0.25, 0.4j)
+        z, w = point[:3], point[3:]
+        den = 1.0
+        for zz in z:
+            for ww in w:
+                den *= 1 - zz * ww
+        extra = (1 - z[0] * w[0]) * (1 - z[1] * w[1]) * (1 - z[2] * w[2])
+        expected = (1 - z[1] * w[0]) * (1 - z[0] * w[1])
+        for j, k in ((0, 2), (1, 2)):
+            expected *= (z[j] - z[k]) * (w[j] - w[k])
+        got = kernel_numerator("pl", 3, 2).eval(point) / full_denominator(3).eval(point)
+        assert got == pytest.approx(expected / (den * extra))

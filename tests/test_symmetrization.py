@@ -49,6 +49,11 @@ class TestElementarySymmetric:
         assert p[1] == pytest.approx(a * b + a * c + b * c)
         assert p[2] == pytest.approx(a * b * c)
 
+    def test_accepts_array_row(self):
+        # a row of a numpy array is a point like a tuple
+        row = np.array([[0.1, 0.2j, -0.3]])[0]
+        assert elementary_symmetric(row) == elementary_symmetric((0.1, 0.2j, -0.3))
+
     @settings(max_examples=60, deadline=None)
     @given(_disc_coords(3))
     def test_permutation_invariance(self, w):
@@ -119,6 +124,14 @@ class TestPermutation:
         for a, b in itertools.product(group, repeat=2):
             # b.apply(a.mapping) maps i to a(b(i))
             assert Permutation(b.apply(a.mapping)).sign == a.sign * b.sign
+
+    def test_inverse_composes_to_identity(self):
+        values = tuple("abcd")
+        for perm in Permutation.group(4):
+            inverse = Permutation(sorted(range(4), key=perm.mapping.__getitem__))
+            assert perm.apply(inverse.apply(values)) == values
+            assert inverse.apply(perm.apply(values)) == values
+            assert inverse.sign == perm.sign
 
     def test_apply_reorders(self):
         perm = Permutation((2, 0, 1))
