@@ -15,6 +15,7 @@ is not positive) ended the run.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 from .errors import BergprojError, QuadratureNotConverged
@@ -39,12 +40,20 @@ def _tokens(text):
     return tokens
 
 
+def _number(text, kind=float):
+    """A finite number: no driver has a meaning for inf or nan."""
+    value = kind(text)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _float_list(text):
-    return [float(tok) for tok in _tokens(text)]
+    return [_number(tok) for tok in _tokens(text)]
 
 
 def _complex_list(text):
-    return [complex(tok) for tok in _tokens(text)]
+    return [_number(tok, complex) for tok in _tokens(text)]
 
 
 def _add_command(subs, name, driver, summary, help):
@@ -79,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     blowup = _add_command(subs, "blowup", "blowup_experiment", _blowup_lines,
                           help="norm-ratio growth at one exponent")
     blowup.add_argument("--n", type=int, choices=(2, 3), required=True)
-    blowup.add_argument("--p", type=float, required=True)
+    blowup.add_argument("--p", type=_number, required=True)
     _add_ratio_options(blowup)
 
     scan = _add_command(subs, "scan", "boundedness_scan", _scan_lines,
@@ -90,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     forelli = _add_command(subs, "forelli-rudin", "growth_class_check", _growth_lines,
                            help="classify the growth integral")
-    forelli.add_argument("--eps", type=float, required=True)
-    forelli.add_argument("--s-exp", type=float, required=True)
+    forelli.add_argument("--eps", type=_number, required=True)
+    forelli.add_argument("--s-exp", type=_number, required=True)
     forelli.add_argument("--grid", dest="samples", type=_float_list, default=None,
                          help="radii used for the model fit")
 

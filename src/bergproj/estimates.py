@@ -39,6 +39,7 @@ from .quadrature import (
     QuadratureRule,
     WeightSpec,
     _gauss_legendre,
+    angular_grid,
     disc_rule,
     legendre_nodes,
     polar_rule_at,
@@ -51,6 +52,13 @@ CLASSIFICATION_SAMPLES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 #: relative inner cutoffs for the graded rules behind integrability
 #: checks; the second, much deeper cutoff is what exposes divergence
 INTEGRABILITY_CUTOFFS = (1e-140, 1e-280)
+
+#: the weight constant's apex grid (the origin plus APEX_LEVELS circles of
+#: APEX_ANGLES apexes) and the per-axis order of its tent rules
+APEX_LEVELS, APEX_ANGLES, TENT_ORDER = 8, 32, 48
+
+#: Gauss-Legendre orders of the sector cubature: radial per log panel, angular
+SECTOR_ORDERS = (12, 24)
 
 
 def _rule_sum(values, weights, what):
@@ -72,16 +80,24 @@ def _growth_rule(eps, r):
     (1-|w|^2)^(-eps) radially while an angular boost resolves the peak
     of width 1-r that forms at angle zero.  The rule depends on neither
     the exponent s_exp nor the point's argument, so it comes from the
-    memo's "growth" table (``_table_rule``).
+    memo's "growth" table (``_table_rule``).  An eps so close to 1 that
+    the grading would make a weight underflow (fall below the smallest
+    normal float, losing digits, and soon reach zero) raises ValueError.
     """
     if eps == 0:
         if r < 1e-12:
             return _table_rule("growth", disc_rule, 8, 8)
         return _table_rule("growth", polar_rule_at, 1.0 / r, 12, 24)
     cluster = max(2, math.ceil(1.0 / (1.0 - eps)))
-    halfwidth = min(0.5 * math.pi, 50.0 * (1.0 - r))
-    factor = math.ceil(8.0 * math.pi / (64 * (1.0 - r)))
-    return _table_rule("growth", disc_rule, 64, 64, cluster, (factor, halfwidth))
+    boost = (math.ceil(8.0 * math.pi / (64 * (1.0 - r))), min(0.5 * math.pi, 50.0 * (1.0 - r)))
+    # log of disc_rule's smallest weight, at its outermost node u = (1 + x) / 2:
+    # 0.5 (w / 2) cluster (1 - u)^(cluster - 1) times the smallest angular weight
+    x, w = legendre_nodes(64)
+    smallest = math.log(0.25 * w[-1] * cluster * np.min(angular_grid(64, boost)[1]))
+    smallest += (cluster - 1) * math.log(0.5 * (1.0 - x[-1]))
+    if smallest < math.log(np.finfo(float).tiny):
+        raise ValueError(f"eps = {eps} makes the growth rule's weights underflow at |z| = {r}")
+    return _table_rule("growth", disc_rule, 64, 64, cluster, boost)
 
 
 def forelli_rudin(eps, s_exp, z, rule=None):
@@ -137,8 +153,9 @@ def classify_forelli_rudin(eps, s_exp, samples=None):
     to separate them.
     """
     radii = np.asarray(CLASSIFICATION_SAMPLES if samples is None else samples, float)
-    if len(radii) < 2:
-        raise ValueError("need at least two sample radii")
+    if len(set(np.abs(radii))) < 2:
+        # the integral depends on |r| alone, and a fit through one |r| has no slope
+        raise ValueError("need at least two distinct sample radii")
     a = np.array([forelli_rudin(eps, s_exp, r, None) for r in radii])
     t = 1.0 - radii**2
 
@@ -327,24 +344,24 @@ def _box_averages(weight, powers, tent, order):
     ]
 
 
-def default_apex_grid(levels=8, angles=32):
+def default_apex_grid():
     """Apex grid clustered toward the boundary: the origin plus circles
-    of radius 1 - 2^-k."""
+    of radius 1 - 2^-k, k = 1, ..., APEX_LEVELS."""
     grid = [0j]
-    for k in range(1, levels + 1):
+    for k in range(1, APEX_LEVELS + 1):
         radius = 1.0 - 2.0**-k
-        for m in range(angles):
-            grid.append(radius * np.exp(2j * math.pi * m / angles))
+        for m in range(APEX_ANGLES):
+            grid.append(radius * np.exp(2j * math.pi * m / APEX_ANGLES))
     return grid
 
 
-def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
+def bekolle_bonami_estimate(weight, p):
     """Grid maximum of (avg of u over T_z) (avg of u^(-1/(p-1)) over T_z)^(p-1).
 
-    This samples the supremum defining the weight constant, so it is a
-    lower bound for it.  ``rule`` is the per-axis order of the tent
-    rules.  Both the weight and its dual power are first integrated over
-    the whole disc at two resolutions -- the refinement also deepens the
+    This samples the supremum defining the weight constant over
+    :func:`default_apex_grid`, so it is a lower bound for it, with tent
+    rules of order ``TENT_ORDER``.  Both the weight and its dual power
+    are first integrated over the whole disc at two resolutions -- the refinement also deepens the
     graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
     coarser pair is the whole-disc tent's (apex 0) pair of averages.
     Every rule comes from the memo of the weight's table, its points, so
@@ -357,8 +374,8 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     whole_disc = []  # the apex-0 averages: same order, same cutoff
     for power in (1.0, dual_power):
         try:
-            base = tent_average(weight, power, disc_tent, rule, INTEGRABILITY_CUTOFFS[0])
-            fine = tent_average(weight, power, disc_tent, 2 * rule, INTEGRABILITY_CUTOFFS[1])
+            base = tent_average(weight, power, disc_tent, TENT_ORDER, INTEGRABILITY_CUTOFFS[0])
+            fine = tent_average(weight, power, disc_tent, 2 * TENT_ORDER, INTEGRABILITY_CUTOFFS[1])
         except OverflowInIntegrand as exc:
             raise NonIntegrable(
                 f"weight power {power:g} overflows under a graded rule"
@@ -372,15 +389,13 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
             )
         whole_disc.append(base)
 
-    if apex_grid is None:
-        apex_grid = default_apex_grid()
     best = 0.0
-    for apex in apex_grid:
+    for apex in default_apex_grid():
         tent = TentRegion(complex(apex))
         if tent.is_whole_disc:
             avg_u, avg_dual = whole_disc
         else:
-            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, rule)
+            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, TENT_ORDER)
         best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 
@@ -436,9 +451,10 @@ class SectorRegion:
         return (5.0 * math.factorial(self.n)) ** (2 * self.j) * (1.0 - self.s)
 
 
-def _sector_cubature(s, inner, half_aperture, k_exp, radial_order=12, angular_order=24):
+def _sector_cubature(s, inner, half_aperture, k_exp):
     """Polar product rule over the annular sector centered at 1/s, and the
     integrand values |1-zs|^(-k) at its nodes."""
+    radial_order, angular_order = SECTOR_ORDERS
     count = max(1, math.ceil(2.0 * math.log10(1.0 / inner)))
     edges = np.geomspace(inner, 1.0, count + 1)
     panels = [_gauss_legendre(radial_order, a, b) for a, b in zip(edges[:-1], edges[1:])]

@@ -34,6 +34,7 @@ from .kernels import (
     KernelSpec,
     apply_operator,
     family_factors,
+    pair_sums,
     shape_from_sums,
     symmetric_top_from_sums,
     test_function_hs,
@@ -49,7 +50,6 @@ from .quadrature import (
     pairwise_sum,
     refine,
     singular_disc_rule,
-    symmetric_blocks,
 )
 
 SCHEMA_VERSION = "1"
@@ -239,68 +239,39 @@ def _calibrate_image_constant(n, orders):
     return constant, residual
 
 
-def _pair_sums(n, factors, j, k):
-    """The values of the last two indices that the family and its image
-    start from, at index pairs (j, k): g_j + g_k, g_j g_k, r_j + r_k,
-    r_j r_k and c_j c_k for the factors (g, r, c) of :func:`family_factors`,
-    one at a time.  At n = 2 there is no prefix, and the two products are
-    None."""
-    g, r, c = factors
-    for x in (g, r):
-        xj, xk = x.take(j), x.take(k)
-        yield xj + xk
-        yield xj * xk if n > 2 else None
-    yield c.take(j) * c.take(k)
-
-
-def _prefix_weight(rows, prefix, j, k):
-    """The pair weights that a block's prefix adds to its pairs (j, k),
-    from the rows of :meth:`PairTable.block`, multiplied in the order
-    WeightSpec.evaluate multiplies them."""
-    factors = []
-    for a, row in enumerate(rows):
-        factors += [row[later] for later in prefix[a + 1 :]]
-        factors += [row.take(j), row.take(k)]
-    return math.prod(factors)
-
-
 def _norm_sums(n, s, rule, p_list, constant):
     """Weighted L^p sums of h_s and of its image at every p, in one pass.
 
-    These are the sums of |f|^p against the squared-Vandermonde weight
-    that :func:`integrate_polydisc` makes over the symmetric blocks of
-    ``rule``, here evaluated from per-node factor tables with the same
-    products and the same summation tree.  Each block is summed by
-    :func:`pairwise_sum`, in parts of at most ``BLOCK_CHUNK`` tuples, which
-    keeps every buffer small: a part's values are summed at every p as
-    soon as they are made, and the part sums are added along numpy's
-    pairwise tree, which gives each block's ``np.sum`` bit for bit.  The
-    pair weights and the pair sums of :func:`_pair_sums` come from one
-    :class:`PairTable`: tabulated once per rule at n >= 3, where every
-    block reads the pairs (j, k) at or above its prefix, and made part by
-    part at n = 2, so that nothing of the pair triangle's length is held.
-    Returns ``{"h": [...], "image": [...]}`` with one entry per p: the sum,
-    or the :class:`OverflowInIntegrand` its integrand raised.
+    These are the sums of |f|^p against the squared-Vandermonde weight that
+    :func:`integrate_polydisc` makes over the blocks of ``rule``, with the
+    same products and summation tree, from per-node factor tables.  Each
+    block is summed by :func:`pairwise_sum` in parts of at most
+    ``BLOCK_CHUNK`` tuples, each summed at every p as soon as it is made.
+    The rule's one :class:`PairTable` also holds each pair's weight
+    |w_j - w_k|^2 and what the last two indices add to the family and its
+    image: g_j + g_k, g_j g_k, r_j + r_k, r_j r_k and c_j c_k for the
+    factors (g, r, c) of :func:`family_factors`.  Returns ``{"h": [...],
+    "image": [...]}``, per p the sum or the :class:`OverflowInIntegrand`
+    its integrand raised.
     """
-    factors = family_factors(n, s, rule.nodes)
-    nodes = rule.nodes
+    g, r, c = factors = family_factors(n, s, rule.nodes)
 
     def pair_values(j, k):
-        yield JACOBIAN_SQUARED.evaluate(np.stack([nodes.take(j), nodes.take(k)], axis=1))
-        yield from _pair_sums(n, factors, j, k)
+        yield JACOBIAN_SQUARED.evaluate(np.stack([rule.nodes.take(j), rule.nodes.take(k)], axis=1))
+        yield from pair_sums(n, g.take(j), g.take(k))
+        yield from pair_sums(n, r.take(j), r.take(k))
+        yield c.take(j) * c.take(k)
 
-    table = PairTable(rule.size, n, pair_values)
+    table = PairTable(rule.weights, n, pair_values)
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    for prefix, length, tuples in symmetric_blocks(rule.weights, n):
-        read, rows = table.block(prefix)
+    for prefix, length, tuples in table.blocks():
         g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
 
         def part_sums(parts):
             for part in parts:
-                j, k, tensor_weight = tuples(part)
-                weight, g_sum, g_prod, r_sum, r_prod, c_prod = read(part, j, k)
+                j, k, tensor_weight, (weight, g_sum, g_prod, r_sum, r_prod, c_prod) = tuples(part)
                 if prefix:
-                    weight = _prefix_weight(rows, prefix, j, k) * weight
+                    weight = table.prefix_product(prefix, j, k) * weight
                 # each value is taken in modulus in the expression that makes it,
                 # so that no complex temporary outlives its part; numpy then
                 # reuses the shape's temporary for the product with the
@@ -585,6 +556,7 @@ def identity_suite(max_n, negative_controls=False) -> ExperimentReport:
 # annihilation is a pointwise cancellation, so modest orders suffice; the
 # full-tensor triple product at n = 3 makes large rules expensive
 DEFAULT_ANNIHILATION_RULE_ORDERS = {2: (8, 16), 3: (4, 8)}
+ANNIHILATION_SAMPLES = 20
 ANNIHILATION_FLOOR = 1e-12
 CONTROL_THRESHOLD = 1e-3
 
@@ -606,15 +578,15 @@ def _alternating_monomial(exponents):
     return evaluate
 
 
-def default_annihilation_samples(n, count=20, seed=7):
-    """Deterministic interior sample points for the annihilation check."""
+def default_annihilation_samples(n, seed=7):
+    """``ANNIHILATION_SAMPLES`` seeded interior sample points for the annihilation check."""
     rng = np.random.default_rng(seed)
-    radius = rng.uniform(0.0, 0.75, (count, n))
-    angle = rng.uniform(0.0, 2.0 * math.pi, (count, n))
+    radius = rng.uniform(0.0, 0.75, (ANNIHILATION_SAMPLES, n))
+    angle = rng.uniform(0.0, 2.0 * math.pi, (ANNIHILATION_SAMPLES, n))
     return radius * np.exp(1j * angle)
 
 
-def annihilation_check(n, z_samples=None, rule=None, seed=7) -> ExperimentReport:
+def annihilation_check(n, z_samples=None, seed=7) -> ExperimentReport:
     """Maximum modulus of the antisymmetric-annihilating kernel part
     applied to alternating test functions, with a non-alternating control.
 
@@ -630,8 +602,7 @@ def annihilation_check(n, z_samples=None, rule=None, seed=7) -> ExperimentReport
     if z_samples is None:
         z_samples = default_annihilation_samples(n, seed=seed)
     z_samples = np.asarray(z_samples)
-    if rule is None:
-        rule = disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
+    rule = disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
     fine = refine(rule, 1.5, 1.5)
     spec = KernelSpec(family="t1", n=n)
 

@@ -113,6 +113,12 @@ def symmetric_top_from_sums(prefix, low, top):
     return math.factorial(len(prefix) + 1) * (top + prefix[0] * low)
 
 
+def pair_sums(n, y, z):
+    """y + z and, when n > 2, y z: the last two of n variables as
+    :func:`symmetric_top_from_sums` takes them (None for an unused product)."""
+    return y + z, (y * z if n > 2 else None)
+
+
 def family_factors(n, s, w):
     """Per-coordinate factors of the blow-up family and of its image shape:
     (g, r, c) = ((1 - w s)^(-n), 1 / (1 - w s), (1 - w s)^(n-1)).
@@ -133,9 +139,8 @@ def test_function_hs(n, s, pts):
     s -> 1 at the rate the experiments measure.
     """
     pts, single = _as_rows(pts, n)
-    g = family_factors(n, s, pts)[0]
-    prefix, y, z = [g[:, l] for l in range(n - 2)], g[:, n - 2], g[:, n - 1]
-    out = symmetric_top_from_sums(prefix, y + z, y * z if prefix else None)
+    g = list(family_factors(n, s, pts)[0].T)
+    out = symmetric_top_from_sums(g[:-2], *pair_sums(n, g[-2], g[-1]))
     return out[0] if single else out
 
 
@@ -176,8 +181,7 @@ def tilde_shape(n, s, pts):
     pts, single = _as_rows(pts, n)
     _, r, c = family_factors(n, s, pts)
     r, c = list(r.T), list(c.T)
-    r_prod = r[-2] * r[-1] if n > 2 else None
-    out = shape_from_sums(s, r[:-2], c[:-2], r[-2] + r[-1], r_prod, c[-2] * c[-1])
+    out = shape_from_sums(s, r[:-2], c[:-2], *pair_sums(n, r[-2], r[-1]), c[-2] * c[-1])
     return out[0] if single else out
 
 

@@ -18,15 +18,13 @@ in chunks.  The integrand gets rows of node indices, one row per tensor
 point, so that one whose factors depend on a single coordinate can
 tabulate them once per node and gather them.  For integrands symmetric
 under coordinate permutations the sum runs over sorted index n-tuples
-only, each with its multiset multiplicity
-n!/prod(c!), for any n: ``symmetric_blocks`` yields one block per sorted
-prefix of the first n - 2 indices, covering the upper triangle of the last
-two, and builds any slice of a block on its own.  A block can then be
-summed part by part: ``pairwise_sum`` cuts it where numpy's pairwise
-summation splits it and adds the part sums back to the whole block's
-``np.sum``, bit for bit.  A ``PairTable`` holds functions of two nodes at
-the pairs of a rule, tabulated once where several blocks read them
-(n >= 3) and made slice by slice where one block does (n = 2).
+only, each with its multiset multiplicity n!/prod(c!), for any n, by
+one ``PairTable``: one block per sorted prefix of the first n - 2
+indices, any slice of it built on its own with functions of its last two
+nodes, which are tabulated once where several blocks read them (n >= 3)
+and made slice by slice where one block does (n = 2).  ``pairwise_sum``
+sums a block part by part, cut where numpy's pairwise summation splits
+it, and equals the whole block's ``np.sum`` bit for bit.
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
 ``legendre_nodes``, which computes them once per order on first use and
@@ -39,7 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
@@ -150,24 +148,7 @@ def disc_rule(radial_order, angular_order, cluster=None, boost=None) -> Quadratu
         boundary_distance = (1.0 - u) ** gamma
         u = 1.0 - boundary_distance
     r = np.sqrt(u)
-
-    if boost is None:
-        m = int(angular_order)
-        theta = -math.pi + TWO_PI * (np.arange(m) + 0.5) / m
-        tw = np.full(m, TWO_PI / m)
-    else:
-        factor, halfwidth = boost
-        m_out = int(angular_order)
-        m_in = max(1, math.ceil(factor * m_out * halfwidth / math.pi))
-        inside = -halfwidth + 2.0 * halfwidth * (np.arange(m_in) + 0.5) / m_in
-        span = TWO_PI - 2.0 * halfwidth
-        outside = halfwidth + span * (np.arange(m_out) + 0.5) / m_out
-        outside = np.where(outside > math.pi, outside - TWO_PI, outside)
-        theta = np.concatenate([inside, outside])
-        tw = np.concatenate(
-            [np.full(m_in, 2.0 * halfwidth / m_in), np.full(m_out, span / m_out)]
-        )
-
+    theta, tw = angular_grid(angular_order, boost)
     nodes = (r[:, None] * np.exp(1j * theta[None, :])).ravel()
     weights = (0.5 * uw[:, None] * tw[None, :]).ravel()
     aux = None
@@ -187,6 +168,23 @@ def disc_rule(radial_order, angular_order, cluster=None, boost=None) -> Quadratu
         },
         aux=aux,
     )
+
+
+def angular_grid(angular_order, boost):
+    """The angles and angular weights of :func:`disc_rule`: a midpoint grid
+    of ``angular_order`` angles, refined by ``boost`` (see there)."""
+    m = int(angular_order)
+    if boost is None:
+        return -math.pi + TWO_PI * (np.arange(m) + 0.5) / m, np.full(m, TWO_PI / m)
+    factor, halfwidth = boost
+    m_in = max(1, math.ceil(factor * m * halfwidth / math.pi))
+    inside = -halfwidth + 2.0 * halfwidth * (np.arange(m_in) + 0.5) / m_in
+    span = TWO_PI - 2.0 * halfwidth
+    outside = halfwidth + span * (np.arange(m) + 0.5) / m
+    outside = np.where(outside > math.pi, outside - TWO_PI, outside)
+    theta = np.concatenate([inside, outside])
+    tw = np.concatenate([np.full(m_in, 2.0 * halfwidth / m_in), np.full(m, span / m)])
+    return theta, tw
 
 
 def _panel_nodes(a, b, order, sqrt_left, sqrt_right):
@@ -503,126 +501,101 @@ def pairwise_sum(length, part_sums):
         sums.close()
 
 
-def _block(weights, starts, pairs, n, prefix):
-    """The length and the ``tuples`` function of the block of ``prefix``
-    (see :func:`symmetric_blocks`); ``pairs(part)`` returns the indices j
-    and k of the slice ``part`` of the block's pairs."""
-    size = len(weights)
-    low = prefix[-1] if prefix else 0
-    first = int(starts[low])
-    fact = [math.factorial(c) for c in range(n + 1)]
-    counts = Counter(prefix)
-    at_low = counts.pop(low, 0)
-    others = math.prod(fact[c] for c in counts.values())
-    # below the first row j > low, so only a doubled last pair adds a
-    # count; the first row (j = low) holds one more copy of low, and its
-    # first tuple (low, low) two more
-    mult = fact[n] / (others * fact[at_low])
-    mult_diagonal = fact[n] / (others * fact[at_low] * 2.0)
-    mult_first_row = fact[n] / (others * fact[at_low + 1])
-    mult_first = fact[n] / (others * fact[at_low + 2])
-    prefix_weight = math.prod(weights[i] for i in prefix)
-
-    def tuples(part):
-        lo, hi = first + part.start, first + part.stop
-        j, k = pairs(part)
-        out = np.full(hi - lo, mult)
-        # every row opens with its diagonal pair (j, j); the first row
-        # (j = low) is set after
-        rows = slice(np.searchsorted(starts, lo), np.searchsorted(starts, hi))
-        out[starts[rows] - lo] = mult_diagonal
-        out[: max(0, size - low - part.start)] = mult_first_row
-        if part.start == 0 and hi > lo:
-            out[0] = mult_first
-        out *= prefix_weight * weights.take(j) * weights.take(k)
-        return j, k, out
-
-    return int(starts[size]) - first, tuples
-
-
-def symmetric_blocks(weights, n):
-    """Sorted index n-tuples of a rule with these weights, block by block.
-
-    Yields ``(prefix, length, tuples)`` for each sorted prefix of the
-    first n - 2 indices, in lexicographic order.  The block's last two
-    indices ``j <= k`` run over the ``length`` pairs of the upper triangle
-    at or above the prefix's last index, in ``np.triu_indices`` order, and
-    ``tuples(part)`` returns ``(j, k, weight)`` for the slice ``part`` of
-    them: ``weight`` is each tuple's multiset multiplicity n!/prod(c!)
-    times its tensor weight, multiplied as ``mult * (prod(prefix weights)
-    * w_j * w_k)`` and built for that slice alone.  ``j`` and ``k`` come
-    from a :class:`PairTable`: at n = 2 they too are built for the slice,
-    so a block streamed part by part holds nothing of its length.  With
-    unit weights the multiplicities over all blocks sum to size**n.
-    """
-    if n < 2:
-        raise ValueError("symmetric blocks need n >= 2")
-    weights = np.asarray(weights)
-    size = len(weights)
-    starts = _triangle_start(size, np.arange(size + 1))
-    indices = PairTable(size, n, lambda j, k: (j, k))
-    for prefix in combinations_with_replacement(range(size), n - 2):
-        read, _ = indices.block(prefix)
-        yield (prefix, *_block(weights, starts, read, n, prefix))
-
-
 class PairTable:
-    """Functions of two nodes at every node pair j <= k of a rule, read
-    for each block of :func:`symmetric_blocks` at order ``n``.
+    """The sorted index n-tuples of a rule with these weights, in blocks,
+    with the values of ``f`` at their last two indices.
 
-    ``f`` maps two int32 index arrays j and k of equal length to an
-    iterable of arrays of values at those pairs.  At n >= 3 every block
-    reads the pairs at or above its prefix, so ``f`` is evaluated once per
-    rule, on parts of at most ``BLOCK_CHUNK`` pairs, each array is stored
-    as soon as it is yielded, and ``values`` holds one packed table per
-    array, in ``np.triu_indices(size)`` order.  At n = 2 the one block
-    reads each pair once, so ``f`` is evaluated on each slice as it is
-    read, and nothing of the triangle's length is held (``values`` is
-    None).
+    ``f`` maps int32 index arrays j and k to an iterable of arrays of
+    values at the pairs (j, k).  At n >= 3 every block reads the pairs at
+    or above its prefix, so j, k and ``f`` are made once per rule, in parts
+    of at most ``BLOCK_CHUNK`` pairs, each array stored in a packed table
+    as soon as it is yielded.  At n = 2 the one block reads each pair once,
+    so they are made slice by slice and nothing of the triangle's length
+    is held (``tables`` is None).
     """
 
-    def __init__(self, size, n, f):
-        self.size = size
-        self.f = f
-        self.values = None
+    def __init__(self, weights, n, f=None):
+        if n < 2:
+            raise ValueError("symmetric blocks need n >= 2")
+        self.weights = np.asarray(weights)
+        self.n = n
+        self.size = len(self.weights)
+        self.starts = _triangle_start(self.size, np.arange(self.size + 1))
+        self.f = f or (lambda j, k: ())
+        self.tables = None
         if n > 2:
-            total = _triangle_start(size, size)
-            self.values = []
+            total = int(self.starts[-1])
+            self.tables = []
             for part in chunk_slices(total, BLOCK_CHUNK):
-                for index, value in enumerate(f(*triangle_indices(size, part.start, part.stop))):
-                    if index == len(self.values):
-                        self.values.append(np.empty(total, dtype=value.dtype))
-                    self.values[index][part] = value
+                j, k = triangle_indices(self.size, part.start, part.stop)
+                for index, value in enumerate(chain((j, k), self.f(j, k))):
+                    if index == len(self.tables):
+                        self.tables.append(np.empty(total, dtype=value.dtype))
+                    self.tables[index][part] = value
 
-    def block(self, prefix):
-        """The tables of the symmetric block of ``prefix``.
-
-        Returns ``(read, rows)``: ``read(part)`` returns, per array of
-        ``f``, the values at the slice ``part`` of the block's pairs
-        (j, k), in the order of its ``tuples``; ``rows`` holds, for each
-        prefix index i, the first table's pairs (i, column) indexed by the
-        column, valid at columns >= i (every later prefix index, and every
-        j and k).  At n = 2 there is no prefix and no row, and
-        ``read(part, j, k)`` evaluates ``f`` at the slice's indices j and k
-        where the caller has built them already, instead of building them
-        again.
+    def blocks(self):
+        """Yields ``(prefix, length, tuples)`` per sorted prefix of the first
+        n - 2 indices, in lexicographic order; the last two, j <= k, run over
+        the ``length`` pairs of the upper triangle at or above the prefix's
+        last index, in ``np.triu_indices`` order.  ``tuples(part)`` returns
+        ``(j, k, weight, values)`` for a slice of them: ``weight`` is the
+        multiset multiplicity n!/prod(c!) times the tensor weight, as
+        ``mult * (prod(prefix weights) * w_j * w_k)``, and ``values`` the
+        arrays of ``f``.  With unit weights the multiplicities sum to size**n.
         """
-        start = _triangle_start(self.size, prefix[-1] if prefix else 0)
-        if self.values is None:
+        for prefix in combinations_with_replacement(range(self.size), self.n - 2):
+            yield (prefix, *self._block(prefix))
 
-            def read(part, *pair):
-                lo, hi = start + part.start, start + part.stop
-                return list(self.f(*(pair or triangle_indices(self.size, lo, hi))))
+    def _block(self, prefix):
+        n, size, weights, starts = self.n, self.size, self.weights, self.starts
+        low = prefix[-1] if prefix else 0
+        first = int(starts[low])
+        fact = [math.factorial(c) for c in range(n + 1)]
+        counts = Counter(prefix)
+        at_low = counts.pop(low, 0)
+        others = math.prod(fact[c] for c in counts.values())
+        # below the first row j > low, so only a doubled last pair adds a
+        # count; the first row (j = low) holds one more copy of low, and its
+        # first tuple (low, low) two more
+        mult = fact[n] / (others * fact[at_low])
+        mult_diagonal = fact[n] / (others * fact[at_low] * 2.0)
+        mult_first_row = fact[n] / (others * fact[at_low + 1])
+        mult_first = fact[n] / (others * fact[at_low + 2])
+        prefix_weight = math.prod(weights[i] for i in prefix)
 
-            return read, []
-        first = self.values[0]
-        rows = [first[_triangle_start(self.size, i) - i :] for i in prefix]
+        def tuples(part):
+            lo, hi = first + part.start, first + part.stop
+            if self.tables is None:
+                j, k = triangle_indices(size, lo, hi)
+                values = list(self.f(j, k))
+            else:
+                j, k, *values = [table[lo:hi] for table in self.tables]
+            out = np.full(hi - lo, mult)
+            # every row opens with its diagonal pair (j, j); the first row
+            # (j = low) is set after
+            rows = slice(np.searchsorted(starts, lo), np.searchsorted(starts, hi))
+            out[starts[rows] - lo] = mult_diagonal
+            out[: max(0, size - low - part.start)] = mult_first_row
+            if part.start == 0 and hi > lo:
+                out[0] = mult_first
+            out *= prefix_weight * weights.take(j) * weights.take(k)
+            return j, k, out, values
 
-        def read(part, *pair):
-            lo, hi = start + part.start, start + part.stop
-            return [table[lo:hi] for table in self.values]
+        return int(starts[size]) - first, tuples
 
-        return read, rows
+    def prefix_product(self, prefix, j, k):
+        """The first array of ``f`` at the pairs that ``prefix`` adds to
+        the tuples ending in (j, k), n >= 3: for each prefix index i, its
+        pairs with every later prefix index and with j and k, multiplied
+        in the order ``WeightSpec.evaluate`` multiplies them."""
+        first = self.tables[2]
+        factors = []
+        for a, i in enumerate(prefix):
+            # the pair (i, column) for every column >= i
+            row = first[_triangle_start(self.size, i) - i :]
+            factors += [row[later] for later in prefix[a + 1 :]]
+            factors += [row.take(j), row.take(k)]
+        return math.prod(factors)
 
 
 def _batch_total(acc):
@@ -643,17 +616,18 @@ def integrate_polydisc(f, rule, n, symmetric=False, chunk=INTEGRAND_CHUNK):
     integrand must be invariant under coordinate permutations) the tensor
     sum is restricted to sorted index tuples with multiset multiplicities,
     an exact reduction by up to n! in work.  ``f`` sees at most ``chunk``
-    rows of a block of :func:`symmetric_blocks` at a time, but the block's values and weights are held whole and summed
-    once, so memory grows with the largest block: the size^2/2 pairs of
-    the whole rule at n = 2, the pairs at or above one index at n = 3.
+    rows of a block of :class:`PairTable` at a time, but the block's values
+    and weights are held whole and summed once, so memory grows with the
+    largest block: the size^2/2 pairs of the whole rule at n = 2, the pairs
+    at or above one index at n = 3.
     At n = 1 there is nothing to reduce and ``symmetric`` is ignored.
     """
     weights = np.asarray(rule.weights)
     size = len(weights)
     if symmetric and n > 1:
         acc = 0.0 + 0.0j
-        for prefix, length, tuples in symmetric_blocks(weights, n):
-            j, k, weight = tuples(slice(0, length))
+        for prefix, length, tuples in PairTable(weights, n).blocks():
+            j, k, weight, _ = tuples(slice(0, length))
             parts = []
             for part in chunk_slices(len(j), chunk):
                 # rows as the transpose of stacked columns, so that each

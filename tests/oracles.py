@@ -4,7 +4,7 @@ These are the code paths the package used before faster ones replaced
 them, and the tests hold the new paths to them bit for bit:
 
 * the hand-written n = 2 and n = 3 symmetric reductions, replaced by
-  ``symmetric_blocks``, one reduction for any n;
+  the blocks of ``PairTable``, one reduction for any n;
 * the per-ring loop of ``polar_rule_at``, replaced by one block of full
   rings and one of arcs;
 * the apex loop of ``bekolle_bonami_estimate`` that took each tent's two
@@ -63,6 +63,7 @@ from bergproj.quadrature import (
     INNER_CUTOFF,
     INTEGRAND_CHUNK,
     TWO_PI,
+    PairTable,
     QuadratureRule,
     _check_finite,
     _radial_panels,
@@ -70,7 +71,6 @@ from bergproj.quadrature import (
     chunk_slices,
     integrate_polydisc,
     pairwise_sum,
-    symmetric_blocks,
 )
 from bergproj.quadrature import polar_rule_at as _polar_rule_at
 from bergproj.symbolic import kernel_terms
@@ -383,8 +383,8 @@ def norm_sums(n, s, rule, p_list, constant):
         table[part] = JACOBIAN_SQUARED.evaluate(pairs)
     del j_all, k_all
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    for prefix, length, tuples in symmetric_blocks(rule.weights, n):
-        j, k, tensor_weight = tuples(slice(0, length))
+    for prefix, length, tuples in PairTable(rule.weights, n).blocks():
+        j, k, tensor_weight, _ = tuples(slice(0, length))
         rows = [table[_triangle_start(size, i) - i :] for i in prefix]
         own = table[_triangle_start(size, prefix[-1] if prefix else 0) :]
         weight = np.empty(len(j)) if prefix else own

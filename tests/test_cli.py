@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -151,7 +152,7 @@ class TestForelliRudinCommand:
         assert len(payload["rows"]) == 4
         assert payload["rows"][0]["value"] > 0
 
-    @pytest.mark.parametrize("eps", [0.8, 0.9])
+    @pytest.mark.parametrize("eps", [0.8, 0.9, 0.985])
     def test_strong_boundary_factor_ends_in_a_verdict(self, eps, capsys):
         # the graded rule's outermost radii round to 1; its exact boundary
         # distances keep the integrand finite there
@@ -160,6 +161,20 @@ class TestForelliRudinCommand:
         out = capsys.readouterr().out
         assert "growth class: Bounded" in out
         assert "matches the three-case theory: True" in out
+
+    def test_underflowing_growth_rule_exits_2(self, capsys):
+        # the grading that eps = 0.99 needs makes the rule's weights underflow
+        code = main(["forelli-rudin", "--eps", "0.99", "--s-exp", "0.5"])
+        assert code == 2
+        assert "eps = 0.99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.5,0.5", "-0.5,0.5"])
+    def test_repeated_radius_exits_2(self, grid, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["forelli-rudin", "--eps", "0", "--s-exp", "0", f"--grid={grid}"])
+        assert code == 2
+        assert "two distinct sample radii" in capsys.readouterr().err
 
     def test_values_are_the_classification_samples(self, tmp_path, monkeypatch):
         grid = (0.9, 0.99, 0.999, 0.9999)
@@ -343,6 +358,24 @@ class TestEmptyListFlags:
             main(argv)
         assert exc.value.code == 2
         assert "no value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--n", "2", "--p-list", "nan", "--s", "0.9,0.99"],
+        ["blowup", "--n", "2", "--p", "inf", "--s", "0.9,0.99"],
+        ["bekolle-bonami", "--weight", "up", "--p-list", "inf", "--points", "0.5"],
+        ["bekolle-bonami", "--weight", "vp", "--p-list", "3", "--points", "nan"],
+        ["forelli-rudin", "--eps", "nan", "--s-exp", "0"],
+    ],
+    ids=["scan-p-list", "blowup-p", "bekolle-p-list", "points", "eps"],
+)
+def test_non_finite_number_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 def test_rule_orders_below_the_floors_exit_2(capsys):

@@ -20,6 +20,7 @@ from bergproj.errors import (
     NonIntegrable,
     OverflowInIntegrand,
 )
+import bergproj.estimates as estimates
 from bergproj.estimates import (
     SectorRegion,
     TentRegion,
@@ -252,8 +253,10 @@ class TestWeightConstant:
         with pytest.raises(ValueError):
             bekolle_bonami_estimate(WeightSpec.jacobian_power(0.0), 1.0)
 
-    def test_apex_grid_shape(self):
-        grid = default_apex_grid(levels=3, angles=8)
+    def test_apex_grid_shape(self, monkeypatch):
+        monkeypatch.setattr(estimates, "APEX_LEVELS", 3)
+        monkeypatch.setattr(estimates, "APEX_ANGLES", 8)
+        grid = default_apex_grid()
         assert grid[0] == 0j
         assert len(grid) == 1 + 3 * 8
         mods = sorted({round(abs(a), 12) for a in grid})

@@ -222,13 +222,16 @@ class TestAnnihilationCheck:
             assert row["threshold"] > 0
             assert row["passed"]
 
-    @pytest.mark.parametrize("n, rule", [(2, None), (3, disc_rule(2, 4))])
-    def test_rows_equal_per_point_per_function_calls(self, n, rule):
+    @pytest.mark.parametrize("n, rule", [(2, None), (3, (2, 4))])
+    def test_rows_equal_per_point_per_function_calls(self, n, rule, monkeypatch):
         # the two batched operator calls against one oracle call per
-        # (sample point, function, rule)
-        z_samples = default_annihilation_samples(n, count=4, seed=5)
-        report = annihilation_check(n, z_samples=z_samples, rule=rule)
-        base = rule if rule is not None else disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
+        # (sample point, function, rule); ``rule`` holds the base rule's
+        # orders, None for the default ones
+        if rule is not None:
+            monkeypatch.setitem(DEFAULT_ANNIHILATION_RULE_ORDERS, n, rule)
+        z_samples = default_annihilation_samples(n, seed=5)[:4]
+        report = annihilation_check(n, z_samples=z_samples)
+        base = disc_rule(*DEFAULT_ANNIHILATION_RULE_ORDERS[n])
         functions = [
             jacobian_phi,
             _alternating_monomial({2: (2, 0), 3: (3, 1, 0)}[n]),

@@ -246,11 +246,12 @@ class TestEstimateOracle:
         assert bekolle_bonami_estimate(weight, p) == oracles.bekolle_bonami_estimate(weight, p)
 
     @pytest.mark.parametrize("points, p", [((0.5,), 3.0), ((0.3, 0.3 + 0.02j), 1.6)])
-    def test_equal_on_a_grid_without_origin(self, points, p):
+    def test_equal_on_a_grid_without_origin(self, points, p, monkeypatch):
         weight = WeightSpec.point_product(points, 2.0 - p)
         grid = default_apex_grid()[1:]
         assert 0j not in grid
-        got = bekolle_bonami_estimate(weight, p, apex_grid=grid)
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: grid)
+        got = bekolle_bonami_estimate(weight, p)
         assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=grid)
 
     def test_whole_disc_averages_taken_once(self, monkeypatch):
@@ -274,12 +275,13 @@ class TestEstimateOracle:
             assert got == oracles.bekolle_bonami_estimate(weight, p)
             assert not builds
 
-    def test_whole_disc_maximum_kept(self):
+    def test_whole_disc_maximum_kept(self, monkeypatch):
         # at a = 0.5, p = 3.9 the graded whole-disc tent gives the maximum
         weight = WeightSpec.point_product((0.5,), 2.0 - 3.9)
         got = bekolle_bonami_estimate(weight, 3.9)
         assert got == oracles.bekolle_bonami_estimate(weight, 3.9)
-        assert got == bekolle_bonami_estimate(weight, 3.9, apex_grid=[0j])
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [0j])
+        assert got == bekolle_bonami_estimate(weight, 3.9)
 
     def test_non_integrable_in_both(self):
         weight = WeightSpec.point_product((0.5,), 2.0 - 4.0)

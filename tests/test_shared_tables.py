@@ -7,15 +7,15 @@ them again each time (``oracles.py``), bit for bit:
   kernel once per permuted copy of the points;
 * ``_norm_sums`` tabulates the pair sums of the last two indices once per
   rule at n >= 3, where every block used to gather and multiply them;
-* ``triangle_indices`` builds the packed triangle that both
-  ``symmetric_blocks`` and ``PairTable`` read, as int32.
+* ``triangle_indices`` builds the packed triangle that ``PairTable``
+  reads, as int32.
 """
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bergproj.experiments as experiments
@@ -164,7 +164,7 @@ def same_sums(got, expected):
 class TestNormSums:
     @settings(max_examples=25, deadline=None)
     @given(
-        n=st.sampled_from([2, 3]),
+        n=st.sampled_from([2, 3, 4]),
         s=st.floats(0.5, 0.99),
         p=st.floats(1.2, 4.0),
         radial=st.integers(1, 5),
@@ -173,6 +173,8 @@ class TestNormSums:
     )
     def test_small_rules(self, n, s, p, radial, angular, constant):
         rule = singular_disc_rule(s, radial, angular)
+        # at n = 4 the blocks have two prefix indices; C(43, 4) tuples at most
+        assume(n < 4 or rule.size <= 40)
         p_list = [p, 2.0, 3.0]
         expected = norm_sums(n, s, rule, p_list, constant)
         same_sums(_norm_sums(n, s, rule, p_list, constant), expected)

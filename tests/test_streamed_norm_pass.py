@@ -4,9 +4,8 @@
   bit.  This pins numpy's float64 pairwise summation: a numpy that splits
   its sums elsewhere fails here by name, where the norm pass would only
   drift by about 1e-9 in the scan's refinement deltas.
-* ``triangle_indices``, the ``tuples`` of ``symmetric_blocks`` and a
-  ``PairTable`` read at n = 2, built for a slice alone, equal that slice
-  of the whole.
+* ``triangle_indices`` and the ``tuples`` of a ``PairTable`` block,
+  built for a slice alone (as at n = 2), equal that slice of the whole.
 * The n = 2 pass holds no array as long as its pair triangle.
 """
 
@@ -25,7 +24,6 @@ from bergproj.quadrature import (
     pairwise_sum,
     refine,
     singular_disc_rule,
-    symmetric_blocks,
     triangle_indices,
 )
 
@@ -114,12 +112,14 @@ class TestStreamedPairTable:
         total = size * (size + 1) // 2
         start = data.draw(st.integers(0, total))
         part = slice(start, data.draw(st.integers(start, total)))
-        streamed, rows = PairTable(size, 2, f).block(())
-        assert PairTable(size, 2, f).values is None and rows == []
-        tabulated, _ = PairTable(size, 3, f).block(())
-        given = streamed(part, *triangle_indices(size, part.start, part.stop))
-        for got, again, expected in zip(streamed(part), given, tabulated(part), strict=True):
-            assert got.tobytes() == again.tobytes() == expected.tobytes()
+        streamed = PairTable(np.ones(size), 2, f)
+        assert streamed.tables is None
+        # the first block at n = 3, of the prefix (0,), reads the whole triangle
+        tabulated = PairTable(np.ones(size), 3, f)
+        (_, _, read), (_, _, whole) = next(streamed.blocks()), next(tabulated.blocks())
+        (j, k, _, got), (jt, kt, _, expected) = read(part), whole(part)
+        for got, expected in zip([j, k, *got], [jt, kt, *expected], strict=True):
+            assert got.tobytes() == expected.tobytes()
 
 
 def expected_block(weights, n, prefix):
@@ -152,13 +152,13 @@ class TestBlockParts:
     @given(blocks_and_cuts())
     def test_parts_equal_the_whole_block(self, drawn):
         n, weights, cuts = drawn
-        for prefix, length, tuples in symmetric_blocks(weights, n):
-            whole = tuples(slice(0, length))
+        for prefix, length, tuples in PairTable(weights, n).blocks():
+            whole = tuples(slice(0, length))[:3]
             j, k, weight = expected_block(weights, n, prefix)
             assert np.array_equal(whole[0], j) and np.array_equal(whole[1], k)
             assert whole[2].tobytes() == weight.tobytes()
             bounds = sorted({0, length, *(int(c * length) for c in cuts)})
-            parts = [tuples(slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+            parts = [tuples(slice(a, b))[:3] for a, b in zip(bounds, bounds[1:])]
             for index, array in enumerate(whole):
                 joined = np.concatenate([part[index] for part in parts])
                 assert joined.tobytes() == array.tobytes()

@@ -32,12 +32,12 @@ from bergproj.kernels import test_function_hs as hs_family
 from bergproj.kernels import tilde_shape
 from bergproj.quadrature import (
     BLOCK_CHUNK,
+    PairTable,
     chunk_slices,
     disc_rule,
     integrate_polydisc,
     refine,
     singular_disc_rule,
-    symmetric_blocks,
 )
 from oracles import _integrate_symmetric_2, _integrate_symmetric_3, at_points, weighted_lp_norm
 
@@ -80,15 +80,15 @@ rules = st.builds(
 class TestSymmetricBlocks:
     @pytest.mark.parametrize("size,n", [(1, 2), (5, 2), (4, 3), (6, 3), (3, 4), (5, 4), (4, 5)])
     def test_multiplicities_sum_to_full_count(self, size, n):
-        blocks = symmetric_blocks(np.ones(size), n)
+        blocks = PairTable(np.ones(size), n).blocks()
         total = sum(np.sum(tuples(slice(0, length))[2]) for _, length, tuples in blocks)
         assert total == size**n
 
     @pytest.mark.parametrize("size,n", [(5, 2), (4, 3), (4, 4)])
     def test_blocks_cover_each_sorted_tuple_once(self, size, n):
         seen = []
-        for prefix, length, tuples in symmetric_blocks(np.ones(size), n):
-            j, k, mult = tuples(slice(0, length))
+        for prefix, length, tuples in PairTable(np.ones(size), n).blocks():
+            j, k, mult, _ = tuples(slice(0, length))
             for jj, kk, m in zip(j, k, mult):
                 key = prefix + (int(jj), int(kk))
                 assert list(key) == sorted(key)
@@ -102,7 +102,7 @@ class TestSymmetricBlocks:
 
     def test_rejects_one_variable(self):
         with pytest.raises(ValueError):
-            next(symmetric_blocks(np.ones(4), 1))
+            PairTable(np.ones(4), 1)
 
 
 class TestReductionAgainstOracles:
