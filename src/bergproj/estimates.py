@@ -9,14 +9,17 @@ Three independent pillars support the operator experiments:
   logarithmically, or grows like a power of (1-|z|^2) as |z| -> 1.
 * Carleson tents ``T_z`` (boundary discs of radius 1-|z|) carry the
   two-weight averages whose supremum is the Bekolle-Bonami constant;
-  ``bekolle_bonami_estimate`` samples that supremum over an apex grid.
-  Its rules -- the tent rules, the whole-disc disc rules and the two
-  graded polar rules -- depend on the weight's points but not on p, so
-  they are built once per weight table (the weight's points) and
-  shared, read-only, by every p of it.  The memo holds one table at a
-  time: the rules of a table are dropped before the first rule of
-  another is built.  The default rules of the growth integral form one
-  more table, so a classification at several exponents builds them once.
+  ``bekolle_bonami_estimate`` samples that supremum over an apex grid,
+  one circle of apexes at a time: a circle's rule is its tent rules
+  joined, so the weight is evaluated once per circle and p, and each
+  tent sums its own slice.  Its rules -- one per apex circle, the
+  whole-disc disc rules and the two graded polar rules -- depend on the
+  weight's points but not on p, so they are built once per weight table
+  (the weight's points) and shared, read-only, by every p of it.  The
+  memo holds one table at a time: the rules of a table are dropped
+  before the first rule of another is built.  The default rules of the
+  growth integral form one more table, so a classification at several
+  exponents builds them once.
 * ``sector_annulus_integral`` integrates |1-zs|^(-k) over the annular
   sector around 1/s that drives the lower bounds in the blow-up
   experiments, in closed form and by an independent polar cubature.
@@ -24,6 +27,7 @@ Three independent pillars support the operator experiments:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -292,9 +296,9 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
     integrated over the whole disc with a polar rule graded at the first
     singular point, and the singular factor is evaluated from the exact
     ring radii (the node coordinates absorb radii below machine epsilon
-    relative to the center).  Everything else uses the tent's own rule.
-    Either rule comes from the memo of the weight's table, its points
-    (``_table_rule``).
+    relative to the center).  Everything else uses the tent's own rule,
+    as a group of one tent (``_tent_averages``).  Either rule comes from
+    the memo of the weight's table, its points (``_table_rule``).
     """
     total_exponent = (
         weight.exponent * power if weight.kind == "point_product" else 0.0
@@ -328,20 +332,54 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
                 "tent average diverges beyond float range"
             )
         return float(np.sum(terms)) / float(np.sum(rule.weights))
-    return _box_averages(weight, (power,), tent, order)[0]
+    (average,) = next(_tent_averages(weight, (power,), (tent.apex,), order))
+    return average
 
 
-def _box_averages(weight, powers, tent, order):
-    """Averages of weight^power over the tent for each power, from one
-    tent rule of the weight's table and one evaluation of the weight on
-    its nodes."""
-    rule = _table_rule(weight.points, tent_rule, tent, order)
+def tent_group_rule(apexes, order):
+    """The tent rules of the apexes, in order, joined into one rule.
+
+    ``aux["start"]`` holds the offset of each tent's nodes and
+    ``aux["mass"]`` each tent's mass, ``np.sum`` of its own weights.  A
+    tent rule has at least one node, so every mass is positive.
+    """
+    rules = [tent_rule(TentRegion(apex), order) for apex in apexes]
+    sizes = [rule.size for rule in rules]
+    return QuadratureRule(
+        nodes=np.concatenate([rule.nodes for rule in rules]),
+        weights=np.concatenate([rule.weights for rule in rules]),
+        descriptor={"family": "tent_group", "apexes": apexes, "order": order},
+        aux={
+            "start": np.cumsum([0] + sizes[:-1]),
+            "mass": np.array([np.sum(rule.weights) for rule in rules]),
+        },
+    )
+
+
+def _tent_averages(weight, powers, apexes, order):
+    """For each tent of the apexes, in order, its averages of
+    weight^power, one per power.
+
+    The weight and each power are evaluated once on the group's rule,
+    and each tent sums its own slice, so every average is bit for bit
+    the one of the tent's own rule.  The averages are yielded tent by
+    tent and a non-finite value raises OverflowInIntegrand when its tent
+    is reached, so a caller that stops at an earlier tent never sees it.
+    """
+    rule = _table_rule(weight.points, tent_group_rule, tuple(apexes), order)
+    starts = rule.aux["start"]
     values = weight.evaluate(rule.nodes)
-    mass = float(np.sum(rule.weights))
-    return [
-        _rule_sum(values**power, rule.weights, "tent average") / mass
-        for power in powers
-    ]
+    powered = [values**power for power in powers]
+    finite = [np.logical_and.reduceat(np.isfinite(v), starts).tolist() for v in powered]
+    terms = [rule.weights * v for v in powered]
+    bounds = starts.tolist() + [rule.size]
+    for t, mass in enumerate(rule.aux["mass"].tolist()):
+        averages = []
+        for ok, term in zip(finite, terms):
+            if not ok[t]:
+                raise OverflowInIntegrand("non-finite integrand value in tent average")
+            averages.append(float(np.sum(term[bounds[t] : bounds[t + 1]])) / mass)
+        yield averages
 
 
 def default_apex_grid():
@@ -355,6 +393,18 @@ def default_apex_grid():
     return grid
 
 
+def _apex_runs(grid):
+    """The apexes of the grid in order, in runs: each origin alone, and
+    up to APEX_ANGLES consecutive other apexes together (one circle of
+    the default grid).  Runs go by position, not modulus: the apexes of
+    one circle differ in the last bit of their modulus."""
+    for at_origin, run in itertools.groupby(map(complex, grid), key=lambda apex: apex == 0):
+        run = list(run)
+        step = 1 if at_origin else APEX_ANGLES
+        for i in range(0, len(run), step):
+            yield run[i : i + step]
+
+
 def bekolle_bonami_estimate(weight, p):
     """Grid maximum of (avg of u over T_z) (avg of u^(-1/(p-1)) over T_z)^(p-1).
 
@@ -364,8 +414,11 @@ def bekolle_bonami_estimate(weight, p):
     are first integrated over the whole disc at two resolutions -- the refinement also deepens the
     graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
     coarser pair is the whole-disc tent's (apex 0) pair of averages.
-    Every rule comes from the memo of the weight's table, its points, so
-    later p of the same table build none.
+    The other tents go one circle at a time: the memo holds one rule per
+    circle, the tent rules of its apexes joined, and the weight is
+    evaluated once per circle and p.  Every rule comes from the memo of
+    the weight's table, its points, so later p of the same table build
+    none.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
@@ -390,13 +443,13 @@ def bekolle_bonami_estimate(weight, p):
         whole_disc.append(base)
 
     best = 0.0
-    for apex in default_apex_grid():
-        tent = TentRegion(complex(apex))
-        if tent.is_whole_disc:
-            avg_u, avg_dual = whole_disc
+    for run in _apex_runs(default_apex_grid()):
+        if run[0] == 0:
+            averages = [whole_disc]
         else:
-            avg_u, avg_dual = _box_averages(weight, (1.0, dual_power), tent, TENT_ORDER)
-        best = max(best, avg_u * avg_dual ** (p - 1.0))
+            averages = _tent_averages(weight, (1.0, dual_power), run, TENT_ORDER)
+        for avg_u, avg_dual in averages:
+            best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 
 

@@ -67,10 +67,11 @@ class QuadratureRule:
     coordinates themselves.
 
     A rule checks its invariants when it is made, and raises InvalidRule
-    if one fails: its nodes are finite and lie in the closed unit disc,
-    and its weights are positive.  Where ``aux`` carries ``log_weight``, a
-    weight whose logarithm is at most -700 may also be zero: the weights
-    of the deepest rings of a graded rule underflow by design.
+    if one fails: it has at least one node, its nodes are finite and lie
+    in the closed unit disc, and its weights are positive.  Where ``aux``
+    carries ``log_weight``, a weight whose logarithm is at most -700 may
+    also be zero: the weights of the deepest rings of a graded rule
+    underflow by design.
     """
 
     nodes: np.ndarray
@@ -80,6 +81,8 @@ class QuadratureRule:
 
     def __post_init__(self):
         family = self.descriptor["family"]
+        if len(self.nodes) == 0:
+            raise InvalidRule(f"{family} rule has no nodes")
         # a modulus that is NaN or infinite fails the comparison as well
         if not np.all(np.abs(self.nodes) <= 1.0):
             if not np.all(np.isfinite(self.nodes)):

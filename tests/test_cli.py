@@ -243,6 +243,14 @@ class TestBekolleBonamiCommand:
         err = capsys.readouterr().err
         assert "InvalidRule: disc rule has a node outside the closed unit disc" in err
 
+    def test_rule_of_no_nodes_exits_4(self, monkeypatch, capsys):
+        # about a centre this far outside the disc the graded polar rule
+        # keeps no node; an average over it would divide by a mass of zero
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        code = main(["bekolle-bonami", "--weight", "up", "--p-list", "3", "--points", "1e16"])
+        assert code == 4
+        assert "InvalidRule: polar rule has no nodes" in capsys.readouterr().err
+
 
 class TestWeightTablesInOneProcess:
     """Tables run one after another in one process, as

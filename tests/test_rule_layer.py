@@ -6,10 +6,14 @@ Oracles (``oracles.py``):
 * the per-ring ``polar_rule_at``, which the block-wise rule must match
   bit for bit in nodes, weights and both ``aux`` arrays;
 * the apex loop of ``bekolle_bonami_estimate`` with two ``tent_average``
-  calls per tent, which the one-rule-per-tent loop, reusing the
-  integrability check's whole-disc averages, must match exactly, also
-  with the rules of its table already held (and the same NonIntegrable
-  message where the weight diverges).
+  calls per tent, which the loop over apex circles, one rule per circle
+  and reusing the integrability check's whole-disc averages, must match
+  exactly, also with the rules of its table already held, on grids that
+  split a circle or hold the origin mid-way (and the same NonIntegrable
+  or OverflowInIntegrand message where the weight diverges).
+
+A circle's rule is its tent rules joined: each tent's slice equals the
+tent's own rule bit for bit, and the weight is evaluated once per circle.
 
 Invariants: finite nodes and positive weights for every rule family, a
 mass of pi for disc rules, polar nodes inside the disc (in the closed
@@ -33,15 +37,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bergproj.quadrature as quadrature
-from bergproj.errors import InvalidRule, NonIntegrable
+from bergproj.errors import InvalidRule, NonIntegrable, OverflowInIntegrand
 import bergproj.estimates as estimates
 from bergproj.estimates import (
+    APEX_LEVELS,
     CLASSIFICATION_SAMPLES,
+    TENT_ORDER,
     TentRegion,
     _sector_cubature,
     bekolle_bonami_estimate,
     classify_forelli_rudin,
     default_apex_grid,
+    tent_group_rule,
     tent_rule,
 )
 from bergproj.experiments import REFINE_FACTORS
@@ -205,6 +212,7 @@ class TestRuleCheckedWhenMade:
             ([0.5, -0.5], [1.0, 0.0], None, "a weight that is not positive"),
             ([0.5, -0.5], [1.0, -1.0], [0.0, -800.0], "a weight that is not positive"),
             ([0.5, -0.5], [1.0, 0.0], [0.0, -699.0], "a weight that is not positive"),
+            ([], [], None, "no nodes"),
         ],
     )
     def test_broken_rule_refused(self, nodes, weights, log_weight, broken):
@@ -214,6 +222,32 @@ class TestRuleCheckedWhenMade:
     def test_underflowed_weights_of_deep_rings_kept(self):
         rule = self.make([0.5, 1.0], [1.0, 0.0], [0.0, -800.0])
         assert rule.size == 2
+
+
+#: tent apexes: the origin (the whole disc) or a point of modulus up to 0.999
+APEXES = st.one_of(
+    st.just(0j),
+    st.builds(
+        lambda modulus, angle: complex(modulus * np.exp(1j * angle)),
+        st.floats(min_value=1e-3, max_value=0.999),
+        ANGLES,
+    ),
+)
+
+
+class TestTentGroupRule:
+    @settings(max_examples=40, deadline=None)
+    @given(apexes=st.lists(APEXES, min_size=1, max_size=6), order=ORDERS)
+    def test_slices_equal_tent_rules(self, apexes, order):
+        group = tent_group_rule(tuple(apexes), order)
+        starts = list(group.aux["start"]) + [group.size]
+        assert len(group.aux["mass"]) == len(apexes)
+        for t, apex in enumerate(apexes):
+            own = tent_rule(TentRegion(apex), order)
+            part = slice(starts[t], starts[t + 1])
+            assert np.array_equal(group.nodes[part], own.nodes)
+            assert np.array_equal(group.weights[part], own.weights)
+            assert group.aux["mass"][t] == np.sum(own.weights)
 
 
 class TestPolarRuleOracle:
@@ -253,6 +287,51 @@ class TestEstimateOracle:
         monkeypatch.setattr(estimates, "default_apex_grid", lambda: grid)
         got = bekolle_bonami_estimate(weight, p)
         assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=grid)
+
+    @pytest.mark.parametrize("points, p", [((0.5,), 3.0), ((0.3, 0.3 + 0.02j), 1.6)])
+    def test_equal_with_origin_mid_grid(self, points, p, monkeypatch):
+        # 40 apexes: the origin between two runs, the second crossing
+        # from the first circle into the second
+        weight = WeightSpec.point_product(points, 2.0 - p)
+        circles = default_apex_grid()[1:40]
+        grid = circles[:20] + [0j] + circles[20:]
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: grid)
+        got = bekolle_bonami_estimate(weight, p)
+        assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=grid)
+
+    def test_equal_on_the_origin_alone(self, monkeypatch):
+        weight = WeightSpec.point_product((0.5,), 2.0 - 3.0)
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [0j])
+        got = bekolle_bonami_estimate(weight, 3.0)
+        assert got == oracles.bekolle_bonami_estimate(weight, 3.0, apex_grid=[0j])
+
+    def test_point_on_a_tent_node_overflows_in_both(self):
+        # the weight's point is a node of the sixth tent of the first
+        # circle, where |a - w|^-0.5 is infinite; the whole disc and the
+        # tents before it are finite
+        apex = default_apex_grid()[6]
+        node = tent_rule(TentRegion(apex), TENT_ORDER).nodes[100]
+        weight = WeightSpec.point_product((node,), -0.5)
+        with np.errstate(divide="ignore"):
+            with pytest.raises(OverflowInIntegrand) as new:
+                bekolle_bonami_estimate(weight, 2.5)
+            with pytest.raises(OverflowInIntegrand) as old:
+                oracles.bekolle_bonami_estimate(weight, 2.5)
+        assert str(new.value) == str(old.value)
+
+    def test_weight_evaluated_once_per_circle(self, monkeypatch):
+        # at most one evaluation per circle and one per whole-disc
+        # average (two powers at two orders); one per tent would be 256
+        calls = []
+        evaluate = WeightSpec.evaluate
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return evaluate(self, pts)
+
+        monkeypatch.setattr(WeightSpec, "evaluate", counting)
+        bekolle_bonami_estimate(WeightSpec.point_product((0.5,), -1.0), 3.0)
+        assert 0 < len(calls) <= APEX_LEVELS + 4
 
     def test_whole_disc_averages_taken_once(self, monkeypatch):
         # at a = 0.5, p = 3 only the weight itself is graded: on an empty
@@ -316,14 +395,15 @@ class TestTableMemo:
         bekolle_bonami_estimate(WeightSpec.point_product((0.5,), -1.0), 3.0)
         rules = self.held_rules()
         families = {rule.descriptor["family"] for rule in rules}
-        assert families == {"disc", "polar", "tent_box"}
+        assert families == {"polar", "tent_group"}
         for rule in rules:
-            arrays = [rule.nodes, rule.weights]
-            if rule.aux is not None:
-                arrays += [rule.aux["center_distance"], rule.aux["log_weight"]]
-            for array in arrays:
+            # polar aux also holds the complex centre, which is no array
+            aux = [a for a in (rule.aux or {}).values() if isinstance(a, np.ndarray)]
+            assert len(aux) == 2
+            for array in [rule.nodes, rule.weights, *aux]:
+                assert not array.flags.writeable
                 with pytest.raises(ValueError):
-                    array[0] = 0.0
+                    array[0] = 0
 
     def test_one_table_held_at_a_time(self):
         bekolle_bonami_estimate(WeightSpec.point_product(TABLES[0], -1.0), 3.0)
