@@ -5,16 +5,13 @@ import sys
 
 from bergproj.cli import main
 
+RUNS = (
+    ["identities", "--max-n", "5", "--negative-controls", "--out", "identity_suite.json"],
+)
+
 if __name__ == "__main__":
-    sys.exit(
-        main(
-            [
-                "identities",
-                "--max-n",
-                "5",
-                "--negative-controls",
-                "--out",
-                "identity_suite.json",
-            ]
-        )
-    )
+    code = 0
+    for argv in RUNS:
+        print(f"--- bergproj {' '.join(argv)}")
+        code = max(code, main(argv))
+    sys.exit(code)

@@ -27,7 +27,6 @@ Three independent pillars support the operator experiments:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,34 +103,25 @@ def _growth_rule(eps, r):
     return _table_rule("growth", disc_rule, 64, 64, cluster, boost)
 
 
-def forelli_rudin(eps, s_exp, z, rule=None):
+def forelli_rudin(eps, s_exp, z):
     """Integral of (1-|w|^2)^(-eps) |1 - z wbar|^(-(2-eps-s_exp)) over the disc.
 
-    When no rule is passed, a default adapted to (eps, |z|) is built; the
-    integral depends on z only through |z| (rotate w), so the default
-    path evaluates at |z| with the angular refinement aimed at the peak.
+    The integral depends on z only through |z| (rotate w), so it is
+    evaluated at |z|, with the rule of :func:`_growth_rule` adapted to
+    (eps, |z|) and its angular refinement aimed at the peak.
     """
     if eps >= 1:
         raise ValueError("the boundary exponent must satisfy eps < 1")
-    z = complex(z)
-    r = abs(z)
+    r = abs(complex(z))
     if r >= 1:
         raise ValueError("the evaluation point must lie inside the disc")
     beta = 2.0 - eps - s_exp
-    if rule is None:
-        rule = _growth_rule(eps, r)
-        z_eff = complex(r)
-    else:
-        z_eff = z
-    w = rule.nodes
+    rule = _growth_rule(eps, r)
     with np.errstate(over="ignore"):
-        values = np.abs(1.0 - z_eff * np.conj(w)) ** (-beta)
+        values = np.abs(1.0 - complex(r) * np.conj(rule.nodes)) ** (-beta)
         if eps != 0:
-            # a graded disc rule keeps the exact 1 - |w|^2 of its nodes
-            distance = (rule.aux or {}).get("boundary_distance")
-            if distance is None:
-                distance = 1.0 - np.abs(w) ** 2
-            values = values * distance ** (-eps)
+            # the graded disc rule keeps the exact 1 - |w|^2 of its nodes
+            values = values * rule.aux["boundary_distance"] ** (-eps)
     return _rule_sum(values, rule.weights, "growth integral")
 
 
@@ -160,7 +150,7 @@ def classify_forelli_rudin(eps, s_exp, samples=None):
     if len(set(np.abs(radii))) < 2:
         # the integral depends on |r| alone, and a fit through one |r| has no slope
         raise ValueError("need at least two distinct sample radii")
-    a = np.array([forelli_rudin(eps, s_exp, r, None) for r in radii])
+    a = np.array([forelli_rudin(eps, s_exp, r) for r in radii])
     t = 1.0 - radii**2
 
     models = {"Bounded": np.ones_like(t), "Log": -np.log(t)}
@@ -289,12 +279,13 @@ def _table_rule(table, builder, *args):
     return rule
 
 
-def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[0]):
+def tent_average(weight, power, tent, order, inner_cutoff):
     """Average of weight^power over the tent.
 
     Point-product weights raised to a negative total exponent are
     integrated over the whole disc with a polar rule graded at the first
-    singular point, and the singular factor is evaluated from the exact
+    singular point down to the relative cutoff ``inner_cutoff`` (see
+    :func:`polar_rule_at`), and the singular factor is evaluated from the exact
     ring radii (the node coordinates absorb radii below machine epsilon
     relative to the center).  Everything else uses the tent's own rule,
     as a group of one tent (``_tent_averages``).  Either rule comes from
@@ -378,31 +369,21 @@ def _tent_averages(weight, powers, apexes, order):
         for ok, term in zip(finite, terms):
             if not ok[t]:
                 raise OverflowInIntegrand("non-finite integrand value in tent average")
-            averages.append(float(np.sum(term[bounds[t] : bounds[t + 1]])) / mass)
+            averages.append(float(term[bounds[t] : bounds[t + 1]].sum()) / mass)
         yield averages
 
 
 def default_apex_grid():
-    """Apex grid clustered toward the boundary: the origin plus circles
-    of radius 1 - 2^-k, k = 1, ..., APEX_LEVELS."""
-    grid = [0j]
+    """Apex grid clustered toward the boundary, as lists of apexes: the
+    origin alone, then one list of APEX_ANGLES apexes per circle of radius
+    1 - 2^-k, k = 1, ..., APEX_LEVELS."""
+    grid = [[0j]]
     for k in range(1, APEX_LEVELS + 1):
         radius = 1.0 - 2.0**-k
-        for m in range(APEX_ANGLES):
-            grid.append(radius * np.exp(2j * math.pi * m / APEX_ANGLES))
+        grid.append(
+            [complex(radius * np.exp(2j * math.pi * m / APEX_ANGLES)) for m in range(APEX_ANGLES)]
+        )
     return grid
-
-
-def _apex_runs(grid):
-    """The apexes of the grid in order, in runs: each origin alone, and
-    up to APEX_ANGLES consecutive other apexes together (one circle of
-    the default grid).  Runs go by position, not modulus: the apexes of
-    one circle differ in the last bit of their modulus."""
-    for at_origin, run in itertools.groupby(map(complex, grid), key=lambda apex: apex == 0):
-        run = list(run)
-        step = 1 if at_origin else APEX_ANGLES
-        for i in range(0, len(run), step):
-            yield run[i : i + step]
 
 
 def bekolle_bonami_estimate(weight, p):
@@ -443,11 +424,11 @@ def bekolle_bonami_estimate(weight, p):
         whole_disc.append(base)
 
     best = 0.0
-    for run in _apex_runs(default_apex_grid()):
-        if run[0] == 0:
+    for circle in default_apex_grid():
+        if circle[0] == 0:
             averages = [whole_disc]
         else:
-            averages = _tent_averages(weight, (1.0, dual_power), run, TENT_ORDER)
+            averages = _tent_averages(weight, (1.0, dual_power), circle, TENT_ORDER)
         for avg_u, avg_dual in averages:
             best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
@@ -464,44 +445,6 @@ def bb_norm_bound(bp, p):
 
 # ---------------------------------------------------------------------------
 # annular sectors around 1/s
-
-
-@dataclass(frozen=True)
-class SectorRegion:
-    """Sector of points w in the disc with Arg(1 - ws) in an aperture
-    around zero; kind "Unj" additionally confines |w - 1/s| to the
-    annulus (inner_radius, 1).
-
-    kinds: "U" (aperture pi/6), "Un" (aperture pi/(6(n-1))), "Unj"
-    (the "Un" aperture plus the annulus condition).
-    """
-
-    kind: str
-    s: float
-    n: int | None = None
-    j: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("s must lie strictly between 0 and 1")
-        if self.kind not in ("U", "Un", "Unj"):
-            raise ValueError(f"unknown sector kind {self.kind!r}")
-        if self.kind in ("Un", "Unj") and (self.n is None or self.n < 2):
-            raise ValueError("dimension n >= 2 required for this sector kind")
-        if self.kind == "Unj" and (self.j is None or self.j < 1):
-            raise ValueError("annulus index j >= 1 required")
-
-    @property
-    def half_aperture(self):
-        if self.kind == "U":
-            return math.pi / 6.0
-        return math.pi / (6.0 * (self.n - 1))
-
-    @property
-    def inner_radius(self):
-        if self.kind != "Unj":
-            return None
-        return (5.0 * math.factorial(self.n)) ** (2 * self.j) * (1.0 - self.s)
 
 
 def _sector_cubature(s, inner, half_aperture, k_exp):
@@ -531,10 +474,15 @@ def sector_annulus_integral(s, j, k_exp, n, mode="closed"):
     criterion 9 and the benchmark's ``weights`` workload compare the two
     modes.
     """
-    region = SectorRegion("Unj", s, n, j)
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must lie strictly between 0 and 1")
+    if n < 2:
+        raise ValueError("dimension n >= 2 required")
+    if j < 1:
+        raise ValueError("annulus index j >= 1 required")
     if k_exp < 2:
         raise ValueError("integrand exponent k_exp >= 2 required")
-    inner = region.inner_radius
+    inner = (5.0 * math.factorial(n)) ** (2 * j) * (1.0 - s)
     if inner >= 1.0:
         raise EmptyRegion(
             f"inner radius {inner:.6g} reaches the outer radius 1; "
@@ -549,6 +497,6 @@ def sector_annulus_integral(s, j, k_exp, n, mode="closed"):
             / (3.0 * (n - 1) * (k_exp - 2.0) * s**k_exp)
         )
     if mode == "quadrature":
-        _, weights, values = _sector_cubature(s, inner, region.half_aperture, k_exp)
+        _, weights, values = _sector_cubature(s, inner, math.pi / (6.0 * (n - 1)), k_exp)
         return _rule_sum(values, weights, "sector cubature")
     raise ValueError(f"unknown mode {mode!r}")

@@ -264,45 +264,48 @@ def _norm_sums(n, s, rule, p_list, constant):
 
     table = PairTable(rule.weights, n, pair_values)
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    for prefix, length, tuples in table.blocks():
-        g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
+    # _check_finite raises on a non-finite integrand; numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prefix, length, tuples in table.blocks():
+            g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
 
-        def part_sums(parts):
-            for part in parts:
-                j, k, tensor_weight, (weight, g_sum, g_prod, r_sum, r_prod, c_prod) = tuples(part)
-                if prefix:
-                    weight = table.prefix_product(prefix, j, k) * weight
-                # each value is taken in modulus in the expression that makes it,
-                # so that no complex temporary outlives its part; numpy then
-                # reuses the shape's temporary for the product with the
-                # constant, as it always has
-                values = {
-                    "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
-                    "image": np.abs(
-                        constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
-                    ),
-                }
-                sums = np.zeros((2, len(p_list)))
-                for row, (kind, absolute) in enumerate(values.items()):
-                    for index, p in enumerate(p_list):
-                        if isinstance(out[kind][index], Exception):
-                            continue
-                        integrand = absolute**p * weight
-                        where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
-                        try:
-                            _check_finite(integrand, where)
-                        except OverflowInIntegrand as exc:
-                            out[kind][index] = exc
-                            continue
-                        integrand *= tensor_weight
-                        sums[row, index] = np.sum(integrand)
-                yield sums
+            def part_sums(parts):
+                for part in parts:
+                    j, k, tensor_weight, pair = tuples(part)
+                    weight, g_sum, g_prod, r_sum, r_prod, c_prod = pair
+                    if prefix:
+                        weight = table.prefix_product(prefix, j, k) * weight
+                    # each value is taken in modulus in the expression that makes it,
+                    # so that no complex temporary outlives its part; numpy then
+                    # reuses the shape's temporary for the product with the
+                    # constant, as it always has
+                    values = {
+                        "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
+                        "image": np.abs(
+                            constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
+                        ),
+                    }
+                    sums = np.zeros((2, len(p_list)))
+                    for row, (kind, absolute) in enumerate(values.items()):
+                        for index, p in enumerate(p_list):
+                            if isinstance(out[kind][index], Exception):
+                                continue
+                            integrand = absolute**p * weight
+                            where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                            try:
+                                _check_finite(integrand, where)
+                            except OverflowInIntegrand as exc:
+                                out[kind][index] = exc
+                                continue
+                            integrand *= tensor_weight
+                            sums[row, index] = np.sum(integrand)
+                    yield sums
 
-        total = pairwise_sum(length, part_sums)
-        for row, kind in enumerate(out):
-            for index, value in enumerate(total[row]):
-                if not isinstance(out[kind][index], Exception):
-                    out[kind][index] += value
+            total = pairwise_sum(length, part_sums)
+            for row, kind in enumerate(out):
+                for index, value in enumerate(total[row]):
+                    if not isinstance(out[kind][index], Exception):
+                        out[kind][index] += value
     return out
 
 

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import PoleProximity
 from .quadrature import INTEGRAND_CHUNK, integrate_polydisc
 from .symbolic import kernel_terms
-from .symmetrization import jacobian_phi, local_inverse_roots, Permutation
+# bergbench's layer trace requires this module to bind both names
+from .symmetrization import jacobian_phi, local_inverse_roots  # noqa: F401
 
 #: kernels refuse to evaluate when a denominator factor is smaller than this
 POLE_GUARD = 1e-14
@@ -43,55 +44,6 @@ def _guard(small, what):
     """Refuse a denominator factor whose smallest modulus is ``small``."""
     if small < POLE_GUARD:
         raise PoleProximity(f"{what} within {small:.2e} of a kernel singularity")
-
-
-def bergman_disc(z, wbar):
-    """Bergman kernel of the unit disc, 1 / (pi (1 - z wbar)^2)."""
-    factor = 1.0 - np.asarray(z, complex) * np.asarray(wbar, complex)
-    _guard(np.min(np.abs(factor)), "disc kernel")
-    return 1.0 / (math.pi * factor * factor)
-
-
-def bergman_symmetrized(p, q, tol=1e-12):
-    """Bergman kernel of the symmetrized polydisc via the proper-map formula.
-
-    With z any root ordering for p and w any root ordering for q,
-
-        K(p, q) = sum over permutations sigma of sign(sigma) *
-                  prod_j k_D(z_j, conj(w_{sigma(j)}))
-                  / (J(z) * conj(J(w)))
-
-    where k_D is the disc Bergman kernel and J the coordinate Vandermonde.
-    The value does not depend on the orderings chosen.  Points whose roots
-    are closer than tol^(1/2) to each other sit near the branch locus,
-    where both Jacobians vanish; the formula stays finite but loses
-    digits, so callers should stay away from the diagonal there.
-
-    No driver calls it yet.  It stays here, with :func:`bergman_disc`,
-    because it is the kernel of the symmetrized polydisc itself, and
-    because moving it out would leave this module importing
-    ``jacobian_phi`` and ``local_inverse_roots`` only for the benchmark's
-    layer tracer, which requires this module to bind them.
-    """
-    zs = local_inverse_roots(p, tol=tol)
-    ws = local_inverse_roots(q, tol=tol)
-    n = len(zs)
-    if len(ws) != n:
-        raise ValueError("points of different dimension")
-    z = np.asarray(zs, dtype=complex)
-    wbar = np.conj(np.asarray(ws, dtype=complex))
-    total = 0.0 + 0.0j
-    for perm in Permutation.group(n):
-        prod = 1.0 + 0.0j
-        for j in range(n):
-            prod *= bergman_disc(z[j], wbar[perm.mapping[j]])
-        total += perm.sign * prod
-    jz = jacobian_phi(z)
-    jw = jacobian_phi(ws)
-    denom = jz * np.conj(jw)
-    if abs(denom) < POLE_GUARD:
-        raise PoleProximity("symmetrized kernel at the branch locus")
-    return complex(total / denom)
 
 
 def symmetric_top_from_sums(prefix, low, top):

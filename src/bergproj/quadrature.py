@@ -365,7 +365,7 @@ def singular_disc_rule(s, radial_order, angular_order) -> QuadratureRule:
     return polar_rule_at(1.0 / s, radial_order, angular_order)
 
 
-def refine(rule: QuadratureRule, radial_factor=2.0, angular_factor=2.0) -> QuadratureRule:
+def refine(rule: QuadratureRule, radial_factor, angular_factor) -> QuadratureRule:
     """Rebuild a rule with scaled orders (for convergence deltas).
 
     A polar rule whose orders sit below the node floors can scale them

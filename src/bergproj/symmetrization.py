@@ -10,10 +10,9 @@ Points of both the polydisc and the symmetrized polydisc are plain
 sequences of complex numbers.  The experiments use :class:`Permutation`
 and, in the annihilation check, :func:`jacobian_phi`.  No driver reaches
 the root machinery (``elementary_symmetric``, ``local_inverse_roots``,
-``local_inverses`` and ``in_symmetrized_polydisc``).  It stays because
-the benchmark's layer tracer wraps these names, with
-``Permutation.group``, and requires ``bergproj`` to bind them;
-``bergproj.kernels.bergman_symmetrized`` uses the roots.
+``local_inverses`` and ``in_symmetrized_polydisc``).  It stays only
+because the benchmark's layer tracer wraps these names, with
+``Permutation.group``, and requires ``bergproj`` to bind them.
 """
 
 from __future__ import annotations
@@ -99,17 +98,18 @@ def jacobian_phi(w):
     return out if pts.ndim > 1 else complex(out)
 
 
-def _canonical_sort(roots, fuzz: float = _ARG_FUZZ):
+def _canonical_sort(roots):
     """Sort by principal argument, then modulus within argument ties.
 
-    Arguments closer than ``fuzz`` are treated as equal so that conjugate
+    Arguments closer than ``_ARG_FUZZ`` are treated as equal so that conjugate
     or coincident roots come out in a reproducible order.
     """
     by_arg = sorted(roots, key=lambda r: (math.atan2(r.imag, r.real), abs(r)))
     out = []
     group = [by_arg[0]] if by_arg else []
     for r in by_arg[1:]:
-        if abs(math.atan2(r.imag, r.real) - math.atan2(group[-1].imag, group[-1].real)) <= fuzz:
+        gap = math.atan2(r.imag, r.real) - math.atan2(group[-1].imag, group[-1].real)
+        if abs(gap) <= _ARG_FUZZ:
             group.append(r)
         else:
             out.extend(sorted(group, key=abs))

@@ -202,6 +202,11 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
     return float(np.sum(rule.weights * values)) / float(np.sum(rule.weights))
 
 
+def flat(grid):
+    """The apexes of a grid of circles (``default_apex_grid``), in order."""
+    return [apex for circle in grid for apex in circle]
+
+
 def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
@@ -232,7 +237,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
             )
 
     if apex_grid is None:
-        apex_grid = default_apex_grid()
+        apex_grid = flat(default_apex_grid())
     best = 0.0
     for apex in apex_grid:
         tent = TentRegion(complex(apex))

@@ -3,6 +3,7 @@ and the exit-code contract (0 pass, 2 failed verification or invalid
 input, 3 quadrature not converged, 4 any other package error)."""
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,10 +18,13 @@ import bergproj.cli as cli
 import bergproj.estimates as estimates
 import bergproj.experiments as experiments
 import bergproj.quadrature as quadrature
-from bergproj.cli import main
+from bergproj.cli import build_parser, main
 from bergproj.estimates import classify_forelli_rudin, forelli_rudin
 from bergproj.errors import NonIntegrable, OverflowInIntegrand, PoleProximity
 from bergproj.experiments import REPORT_SCHEMA
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def read_json(path):
@@ -441,6 +445,18 @@ class TestParser:
             main(["bekolle-bonami", "--weight", "wp", "--p-list", "2",
                   "--points", "0"])
 
+    @pytest.mark.parametrize(
+        "script", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name
+    )
+    def test_reproduction_scripts_parse(self, script):
+        # the scripts' argument lists must stay valid commands; nothing runs
+        spec = importlib.util.spec_from_file_location(script.stem, script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.RUNS
+        for argv in module.RUNS:
+            build_parser().parse_args(argv)
+
 
 class TestModuleEntryPoint:
     """``python -m bergproj.cli`` runs a command as the console script does."""
@@ -467,3 +483,17 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == expected
         assert (done.stdout, done.stderr) == (printed.out, printed.err)
+
+    def test_overflow_prints_only_the_package_error(self):
+        # numpy's overflow warnings must not precede the package's own error
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "bergproj.cli", "blowup", "--n", "2", "--p", "1e308",
+             "--s", "0.9,0.99"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 4
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("OverflowInIntegrand: "), done.stderr

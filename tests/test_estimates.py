@@ -22,7 +22,7 @@ from bergproj.errors import (
 )
 import bergproj.estimates as estimates
 from bergproj.estimates import (
-    SectorRegion,
+    INTEGRABILITY_CUTOFFS,
     TentRegion,
     _sector_cubature,
     bb_norm_bound,
@@ -34,7 +34,7 @@ from bergproj.estimates import (
     tent_average,
     tent_rule,
 )
-from bergproj.quadrature import WeightSpec, disc_rule
+from bergproj.quadrature import WeightSpec
 
 
 def growth_oracle(eps, s_exp, r):
@@ -43,19 +43,22 @@ def growth_oracle(eps, s_exp, r):
     return math.pi / (1.0 - eps) * hyp2f1(alpha, alpha, 2.0 - eps, r * r)
 
 
-def region_contains(region, z):
-    """Strict membership in the sector region, from its aperture and,
-    for kind "Unj", its annulus."""
+def inner_radius(s, n, j):
+    return (5.0 * math.factorial(n)) ** (2 * j) * (1.0 - s)
+
+
+def region_contains(s, n, j, z):
+    """Strict membership in the annular sector of (s, n, j): the disc
+    points w with |Arg(1 - ws)| < pi/(6(n-1)) and |w - 1/s| between the
+    inner radius and 1."""
     z = complex(z)
     if abs(z) >= 1.0:
         return False
-    u = 1.0 - z * region.s
-    if not -region.half_aperture < math.atan2(u.imag, u.real) < region.half_aperture:
+    u = 1.0 - z * s
+    half_aperture = math.pi / (6.0 * (n - 1))
+    if not -half_aperture < math.atan2(u.imag, u.real) < half_aperture:
         return False
-    if region.kind == "Unj":
-        rho = abs(z - 1.0 / region.s)
-        return region.inner_radius < rho < 1.0
-    return True
+    return inner_radius(s, n, j) < abs(z - 1.0 / s) < 1.0
 
 
 class TestGrowthIntegral:
@@ -84,12 +87,11 @@ class TestGrowthIntegral:
                     growth_oracle(0.5, s_exp, r), rel=2e-3
                 )
 
-    def test_explicit_rule_and_complex_argument(self):
-        # the integral depends on z only through |z|; a user-supplied
-        # rule integrates the literal integrand at a complex z
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_complex_argument(self, eps):
+        # the integral depends on z only through |z|
         z = 0.5 * np.exp(0.7j)
-        value = forelli_rudin(0.0, 0.5, z, rule=disc_rule(48, 64))
-        assert value == pytest.approx(growth_oracle(0.0, 0.5, 0.5), rel=1e-6)
+        assert forelli_rudin(eps, 0.5, z) == forelli_rudin(eps, 0.5, abs(z))
 
     def test_log_growth_ratio_bracket(self):
         ratios = []
@@ -192,18 +194,19 @@ class TestTents:
 class TestTentAverages:
     def test_constant_weight_is_exactly_one(self):
         for apex in (0j, 0.5 + 0j, 0.9j):
-            avg = tent_average(WeightSpec.jacobian_power(0.0), 1.0, TentRegion(apex), 32)
+            weight = WeightSpec.jacobian_power(0.0)
+            avg = tent_average(weight, 1.0, TentRegion(apex), 32, INTEGRABILITY_CUTOFFS[0])
             assert avg == 1.0
 
     def test_graded_average_exact(self):
         # the average of |w|^-1 over the disc is (2 pi) / pi = 2
         weight = WeightSpec.point_product([0], -1.0)
-        avg = tent_average(weight, 1.0, TentRegion(0j), 48)
+        avg = tent_average(weight, 1.0, TentRegion(0j), 48, INTEGRABILITY_CUTOFFS[0])
         assert avg == pytest.approx(2.0, rel=1e-12)
 
     def test_off_center_graded_average_matches_adaptive_quadrature(self):
         weight = WeightSpec.point_product([0.5], -1.0)
-        avg = tent_average(weight, 1.0, TentRegion(0j), 48)
+        avg = tent_average(weight, 1.0, TentRegion(0j), 48, INTEGRABILITY_CUTOFFS[0])
         integral, err = dblquad(
             lambda r, th: r / abs(0.5 - r * np.exp(1j * th)),
             0.0,
@@ -257,10 +260,11 @@ class TestWeightConstant:
         monkeypatch.setattr(estimates, "APEX_LEVELS", 3)
         monkeypatch.setattr(estimates, "APEX_ANGLES", 8)
         grid = default_apex_grid()
-        assert grid[0] == 0j
-        assert len(grid) == 1 + 3 * 8
-        mods = sorted({round(abs(a), 12) for a in grid})
-        assert mods == [0.0, 0.5, 0.75, 0.875]
+        assert grid[0] == [0j]
+        assert [len(circle) for circle in grid] == [1, 8, 8, 8]
+        assert all(type(a) is complex for circle in grid for a in circle)
+        mods = [sorted({round(abs(a), 12) for a in circle}) for circle in grid]
+        assert mods == [[0.0], [0.5], [0.75], [0.875]]
 
     def test_norm_bound_shape(self):
         assert bb_norm_bound(1.0, 2.0) == 1.0
@@ -274,61 +278,51 @@ class TestWeightConstant:
 
 class TestSectorRegions:
     def test_real_axis_points_are_inside(self):
-        region = SectorRegion("U", 0.9)
-        for z in (0.1, 0.5, 0.99):
-            assert region_contains(region, z)
+        s = 0.999
+        for rho in (0.2, 0.5, 0.9):
+            assert region_contains(s, 2, 1, 1.0 / s - rho)
 
     def test_aperture_is_respected(self):
-        # choose z with Arg(1 - zs) = pi/4, outside the pi/6 aperture
-        s = 0.9
+        # choose z with Arg(1 - zs) = pi/4, outside the pi/6 aperture at n = 2
+        s = 0.999
         z = (1.0 - 0.5 * np.exp(1j * math.pi / 4.0)) / s
         assert abs(z) < 1.0
-        assert not region_contains(SectorRegion("U", s), z)
+        assert not region_contains(s, 2, 1, z)
+        assert region_contains(s, 2, 1, (1.0 - 0.5 * np.exp(1j * math.pi / 8.0)) / s)
 
     def test_narrower_aperture_for_higher_dimension(self):
-        s = 0.9
+        # Arg(1 - zs) = pi/8 lies inside pi/6 (n = 2) but not pi/12 (n = 3);
+        # |z - 1/s| = 0.5/s lies in both annuli
+        s = 0.9999
         z = (1.0 - 0.5 * np.exp(1j * math.pi / 8.0)) / s
-        assert region_contains(SectorRegion("U", s), z)
-        assert not region_contains(SectorRegion("Un", s, n=3), z)
+        assert region_contains(s, 2, 1, z)
+        assert not region_contains(s, 3, 1, z)
 
     def test_annulus_bounds_are_strict(self):
-        region = SectorRegion("Unj", 0.999, n=2, j=1)
-        inner = region.inner_radius
+        s = 0.999
+        inner = inner_radius(s, 2, 1)
         assert inner == pytest.approx(0.1, rel=1e-10)
-        center = 1.0 / region.s
-        assert not region_contains(region, center - inner * (1.0 - 1e-9))
-        assert region_contains(region, center - inner * (1.0 + 1e-9))
-        assert not region_contains(region, center - 1.0 * (1.0 + 1e-9))
-
-    def test_unit_disc_membership_required(self):
-        assert not region_contains(SectorRegion("U", 0.5), 1.2)
+        center = 1.0 / s
+        assert not region_contains(s, 2, 1, center - inner * (1.0 - 1e-9))
+        assert region_contains(s, 2, 1, center - inner * (1.0 + 1e-9))
+        assert not region_contains(s, 2, 1, center - 1.0 * (1.0 + 1e-9))
 
     def test_nested_regions(self):
+        # the n = 3 region has the narrower aperture and the larger inner
+        # radius, so it lies in the n = 2 region
         rng = np.random.default_rng(3)
         s = 0.999
-        unj = SectorRegion("Unj", s, n=3, j=1)
-        un = SectorRegion("Un", s, n=3)
         count = 0
         for _ in range(200):
-            # the inner radius is 0.9 here, so sample around it
+            # the n = 3 inner radius is 0.9 here, so sample around it
             rho = rng.uniform(0.8, 1.0)
             phi = rng.uniform(-math.pi / 12, math.pi / 12)
             z = 1.0 / s - rho * np.exp(1j * phi)
-            if region_contains(unj, z):
+            if region_contains(s, 3, 1, z):
                 count += 1
-                assert region_contains(un, z)
+                assert region_contains(s, 2, 1, z)
                 assert abs(z) < 1.0
         assert count > 50
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SectorRegion("V", 0.5)
-        with pytest.raises(ValueError):
-            SectorRegion("Un", 0.5, n=1)
-        with pytest.raises(ValueError):
-            SectorRegion("Unj", 0.5, n=2, j=0)
-        with pytest.raises(ValueError):
-            SectorRegion("U", 1.0)
 
 
 class TestSectorAnnulusIntegral:
@@ -368,16 +362,23 @@ class TestSectorAnnulusIntegral:
 
     def test_cubature_nodes_lie_in_region(self):
         nodes, _, _ = _sector_cubature(0.999, 0.1, math.pi / 6.0, 4.0)
-        region = SectorRegion("Unj", 0.999, n=2, j=1)
-        assert all(region_contains(region, z) for z in nodes[::23])
+        assert all(region_contains(0.999, 2, 1, z) for z in nodes[::23])
 
-    def test_parameter_validation(self):
+    @pytest.mark.parametrize(
+        "s, j, k, n, mode",
+        [
+            (0.0, 1, 2, 2, "closed"),
+            (1.0, 1, 2, 2, "closed"),
+            (0.999, 1, 2, 1, "closed"),
+            (0.999, 0, 2, 2, "closed"),
+            (0.999, 1, 1.5, 2, "closed"),
+            (0.999, 1, 2, 2, "series"),
+        ],
+        ids=["s=0", "s=1", "n=1", "j=0", "k<2", "mode"],
+    )
+    def test_parameter_validation(self, s, j, k, n, mode):
         with pytest.raises(ValueError):
-            sector_annulus_integral(0.999, 1, 1.5, 2)
-        with pytest.raises(ValueError):
-            sector_annulus_integral(0.999, 1, 2, 1)
-        with pytest.raises(ValueError):
-            sector_annulus_integral(0.999, 0, 2, 2)
+            sector_annulus_integral(s, j, k, n, mode=mode)
         with pytest.raises(ValueError):
             sector_annulus_integral(1.0, 1, 2, 2)
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""Tests for the kernel evaluators, the symmetrized-polydisc kernel and the
-blow-up family.
+"""Tests for the kernel evaluators and the blow-up family.
 
 Expected values come from independent routes: explicit closed forms,
-mpmath recomputation at high precision, exact sympy calculus for the
-n = 3 operator, and series expansions of the disc kernel.
+mpmath recomputation at high precision and exact sympy calculus for the
+n = 3 operator.
 """
 
 import math
@@ -18,16 +17,12 @@ from bergproj.errors import PoleProximity
 from bergproj.kernels import (
     KernelSpec,
     apply_operator,
-    bergman_disc,
-    bergman_symmetrized,
     tildeT2_closed_form,
     tilde_shape,
 )
 from bergproj.kernels import test_function_hs as hs_family
 from bergproj.quadrature import disc_rule, singular_disc_rule
 from bergproj.symbolic import KERNEL_TABLE, full_denominator, kernel_numerator
-from bergproj.symmetrization import elementary_symmetric, jacobian_phi
-from oracles import at_points
 
 
 def random_interior(rng, count, n, radius=0.7):
@@ -43,22 +38,6 @@ def vandermonde(values):
         for k in range(j + 1, len(values)):
             out *= values[j] - values[k]
     return out
-
-
-class TestDiscKernel:
-    def test_point_value(self):
-        # closed form at a real pair
-        assert bergman_disc(0.3, 0.2) == pytest.approx(1.0 / (math.pi * 0.94**2))
-
-    def test_series_expansion(self):
-        # k(z, wbar) = (1/pi) sum (m+1) (z wbar)^m
-        z, wbar = 0.4 + 0.1j, 0.3 - 0.2j
-        series = sum((m + 1) * (z * wbar) ** m for m in range(200)) / math.pi
-        assert bergman_disc(z, wbar) == pytest.approx(series, rel=1e-14)
-
-    def test_pole_guard(self):
-        with pytest.raises(PoleProximity):
-            bergman_disc(0.5, 2.0)
 
 
 class TestDecomposition:
@@ -123,73 +102,6 @@ class TestDecomposition:
     def test_single_row_returns_scalar(self):
         value = KernelSpec("t2", 2).evaluate((0.1, 0.2), np.array([0.3, 0.1j]))
         assert np.ndim(value) == 0
-
-
-class TestSymmetrizedKernel:
-    def test_matches_two_by_two_determinant(self):
-        # direct evaluation at p = q = image of (0.1, -0.1): roots are
-        # known exactly, so the determinant over the Jacobians is explicit
-        p = elementary_symmetric((0.1, -0.1))
-        k = lambda a, b: 1.0 / (math.pi * (1 - a * np.conj(b)) ** 2)
-        det = k(0.1, 0.1) * k(-0.1, -0.1) - k(0.1, -0.1) * k(-0.1, 0.1)
-        expected = det / 0.04
-        value = bergman_symmetrized(p, p)
-        assert value == pytest.approx(expected, rel=1e-12)
-        assert value == pytest.approx(0.20274371684432968625, rel=1e-13)
-        assert abs(value.imag) < 1e-15
-
-    def test_hermitian_symmetry(self):
-        rng = np.random.default_rng(31)
-        for _ in range(6):
-            zp = random_interior(rng, 1, 2, radius=0.8)[0]
-            zq = random_interior(rng, 1, 2, radius=0.8)[0]
-            p = elementary_symmetric(tuple(zp))
-            q = elementary_symmetric(tuple(zq))
-            assert bergman_symmetrized(p, q) == pytest.approx(
-                np.conj(bergman_symmetrized(q, p)), rel=1e-10
-            )
-
-    def test_diagonal_positive(self):
-        rng = np.random.default_rng(37)
-        for _ in range(6):
-            zp = random_interior(rng, 1, 3, radius=0.8)[0]
-            p = elementary_symmetric(tuple(zp))
-            value = bergman_symmetrized(p, p)
-            assert abs(value.imag) < 1e-12 * abs(value)
-            assert value.real > 0
-
-    def test_reproduces_constants(self):
-        # the kernel must integrate to one against the constant function;
-        # pulling the integral back to the polydisc brings in the squared
-        # Jacobian and a 1/2 for the double cover
-        z0 = (0.3, -0.2 + 0.1j)
-        p = elementary_symmetric(z0)
-        rule = disc_rule(20, 20)
-
-        def determinant(pts):
-            return bergman_disc(z0[0], np.conj(pts[:, 0])) * bergman_disc(
-                z0[1], np.conj(pts[:, 1])
-            ) - bergman_disc(z0[0], np.conj(pts[:, 1])) * bergman_disc(
-                z0[1], np.conj(pts[:, 0])
-            )
-
-        def integrand(pts):
-            # kernel * |jac|^2 with the conjugated Jacobian cancelled
-            # analytically, so nodes with equal coordinates stay finite
-            jac = pts[:, 0] - pts[:, 1]
-            return determinant(pts) * jac / jacobian_phi(z0)
-
-        from bergproj.quadrature import integrate_polydisc
-
-        total = 0.5 * integrate_polydisc(at_points(integrand, rule), rule, 2)
-        assert total == pytest.approx(1.0, rel=1e-8)
-        # and the determinant formula agrees with the scalar entry point
-        w0 = (0.25, -0.15)
-        q = elementary_symmetric(w0)
-        det0 = determinant(np.array([w0], dtype=complex))[0]
-        assert det0 / (jacobian_phi(z0) * np.conj(jacobian_phi(w0))) == pytest.approx(
-            bergman_symmetrized(p, q), rel=1e-12
-        )
 
 
 class TestBlowupFamily:

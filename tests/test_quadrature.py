@@ -174,7 +174,7 @@ class TestSingularRule:
 class TestRefine:
     def test_disc_refinement_descriptor(self):
         rule = disc_rule(8, 12, cluster=2)
-        fine = refine(rule)
+        fine = refine(rule, 2.0, 2.0)
         assert fine.descriptor["radial_order"] == 16
         assert fine.descriptor["angular_order"] == 24
         assert fine.descriptor["cluster"] == 2
