@@ -56,6 +56,15 @@ CLASSIFICATION_SAMPLES = (0.99, 0.995, 0.999, 0.9995, 0.9999)
 #: checks; the second, much deeper cutoff is what exposes divergence
 INTEGRABILITY_CUTOFFS = (1e-140, 1e-280)
 
+#: farthest weight point a graded polar rule is built about.  About a
+#: centre at distance d > 1, the ring of radius d + u meets the disc in an
+#: arc whose half-angle, and so the place of every node on it, comes from
+#: 1 + gamma = (1 - u^2) / (2 d (d + u)), while gamma, a float64 near -1,
+#: is rounded by up to eps / 2.  Past d = eps^(-1/2) = 2^26 that rounding
+#: is as large as 1 + gamma on every ring, so no node is placed by the
+#: disc any more (at 1e8 the nodes fall outside it, at 1e16 none is left)
+FAR_WEIGHT_POINT = float(np.finfo(float).eps) ** -0.5
+
 #: the weight constant's apex grid (the origin plus APEX_LEVELS circles of
 #: APEX_ANGLES apexes) and the per-axis order of its tent rules
 APEX_LEVELS, APEX_ANGLES, TENT_ORDER = 8, 32, 48
@@ -289,7 +298,9 @@ def tent_average(weight, power, tent, order, inner_cutoff):
     ring radii (the node coordinates absorb radii below machine epsilon
     relative to the center).  Everything else uses the tent's own rule,
     as a group of one tent (``_tent_averages``).  Either rule comes from
-    the memo of the weight's table, its points (``_table_rule``).
+    the memo of the weight's table, its points (``_table_rule``).  A
+    graded rule about a point farther than ``FAR_WEIGHT_POINT`` from the
+    origin raises ValueError before it is built.
     """
     total_exponent = (
         weight.exponent * power if weight.kind == "point_product" else 0.0
@@ -302,6 +313,11 @@ def tent_average(weight, power, tent, order, inner_cutoff):
     )
     if graded:
         center = weight.points[0]
+        if not abs(center) <= FAR_WEIGHT_POINT:
+            raise ValueError(
+                f"weight point {center} lies farther than {FAR_WEIGHT_POINT:.4g} from the"
+                " origin, where float64 cannot place the nodes of a polar rule about it"
+            )
         rule = _table_rule(
             weight.points, polar_rule_at, center, max(4, order // 8), max(16, order), inner_cutoff
         )

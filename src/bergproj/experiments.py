@@ -565,16 +565,24 @@ CONTROL_THRESHOLD = 1e-3
 
 
 def _alternating_monomial(exponents):
-    """Antisymmetrization of a coordinate monomial over all permutations."""
+    """Antisymmetrization of a coordinate monomial over all permutations.
+
+    The permutations of the len(exponents) coordinates and their signs
+    are listed once, and each call raises each coordinate to each
+    exponent once; every permutation multiplies those powers in its own
+    order.
+    """
+    slots = range(len(exponents))
+    signed = [(perm, Permutation(perm).sign) for perm in permutations(slots)]
 
     def evaluate(pts):
         pts = np.asarray(pts)
+        powers = {(slot, e): pts[:, slot] ** e for slot in slots for e in exponents}
         out = np.zeros(pts.shape[0], dtype=complex)
-        for perm in permutations(range(pts.shape[1])):
-            sign = Permutation(perm).sign
+        for perm, sign in signed:
             term = np.ones(pts.shape[0], dtype=complex)
             for slot, exponent in zip(perm, exponents):
-                term *= pts[:, slot] ** exponent
+                term *= powers[slot, exponent]
             out += sign * term
         return out
 

@@ -8,8 +8,9 @@ transports the antisymmetric part to symmetric functions and drives the
 blow-up experiments -- is (1/pi)^n times a signed sum of pair products
 over the shared denominator prod_{j<=k} (1 - z_k wbar_j)(1 - z_j wbar_k).
 :class:`KernelSpec` evaluates that table, vectorized over rows of
-integration points; :func:`bergproj.symbolic.kernel_numerator` builds the
-same numerators exactly, and the two layers are tested against each other.
+integration points and over a stack of points z;
+:func:`bergproj.symbolic.kernel_numerator` builds the same numerators
+exactly, and the two layers are tested against each other.
 :func:`apply_operator` hands it rows of node indices, from which it
 gathers the factors 1 - z_a wbar_b out of one table of n values per node.
 """
@@ -137,10 +138,11 @@ def tilde_shape(n, s, pts):
     return out[0] if single else out
 
 
-def _denominator_factors(z, nodes, index):
+def _denominator_factors(z, nodes, index, factor):
     """The n^2 factors 1 - z_a wbar_b at the rows ``index`` of node
-    indices, as ``factor[a][b]``: ``nodes`` holds the conjugated nodes,
-    and the factors of row r are 1 - z_a nodes[index[r, b]].
+    indices, written into ``factor`` as ``factor[a][b]``: ``nodes`` holds
+    the conjugated nodes, and the factors of row r are
+    1 - z_a nodes[index[r, b]].
 
     The n x size table of 1 - z_a nodes[i] is built once and each row's
     factors are gathered from it, so every factor has the bits it would
@@ -151,16 +153,16 @@ def _denominator_factors(z, nodes, index):
     (j, k) for k > j.  A node within the guard that no row reads raises
     nothing.
 
-    The factors share one buffer: as n^2 separate arrays they made the
-    allocator hand the heap back and fault it in again on every call,
-    about 200 page faults per call at 4,369 rows, which doubled the time
-    of an unsymmetrized evaluation.
+    The factors share one (n, n, m) buffer, which a caller fills again for
+    each point z: as n^2 separate arrays they made the allocator hand the
+    heap back and fault it in again on every call, about 200 page faults
+    per call at 4,369 rows, which doubled the time of an unsymmetrized
+    evaluation.
     """
     n = len(z)
     table = np.empty((n, len(nodes)), dtype=complex)
     for a in range(n):
         np.subtract(1.0, z[a] * nodes, out=table[a])
-    factor = np.empty((n, n, len(index)), dtype=complex)
     # mode="wrap" spares the copy of ``out`` that take makes to raise on an
     # index out of range
     table.take(index.T, axis=1, out=factor, mode="wrap")
@@ -171,7 +173,6 @@ def _denominator_factors(z, nodes, index):
             for k in range(j + 1, n):
                 _guard(nearest[k, j], "cross factor")
                 _guard(nearest[j, k], "cross factor")
-    return factor
 
 
 def _permuted_kernel(terms, z, tau, factor, diffs):
@@ -230,8 +231,10 @@ class KernelSpec:
         kernel_terms(self.family, self.n, self.l)
 
     def evaluate(self, z, wbar, *, nodes=None, symmetrize=False):
-        """The kernel at one point z (n coordinates) and one row or an
-        (m, n) array of rows wbar.
+        """The kernel at one point z (n coordinates) or a stack of Z points
+        (shape (Z, n)) and one row or an (m, n) array of rows wbar.  One
+        point gives (m,) values, a stack (Z, m), each without its last
+        axis for one row.
 
         Without ``nodes`` the rows hold conjugated points.  With ``nodes``
         (the conjugated nodes of a rule) they hold indices into it, and
@@ -241,7 +244,9 @@ class KernelSpec:
         The factors 1 - z_a wbar_b are gathered from a table of one value
         per coordinate of z and node (see :func:`_denominator_factors`),
         and the pair differences wbar_a - wbar_b from the columns of
-        conjugated points.
+        conjugated points.  The columns and differences are built once for
+        all points, and each point's factors fill one shared buffer, so a
+        point of a stack has the bits it has alone.
 
         With ``symmetrize=True`` it is the mean of the kernel over the n!
         permutations of the columns of wbar.  The factors and differences are built once for
@@ -249,7 +254,8 @@ class KernelSpec:
         order an evaluation on permuted columns would, so the mean equals
         the mean of n! separate evaluations bit for bit.  A factor within
         ``POLE_GUARD`` of zero raises :class:`PoleProximity`, as the
-        unpermuted kernel would.
+        unpermuted kernel would, at the first point of the stack that
+        meets it.
         """
         n = self.n
         if nodes is None:
@@ -258,21 +264,26 @@ class KernelSpec:
         else:
             index, single = _as_rows(wbar, n, dtype=None)
         z = np.asarray(z, dtype=complex)
-        if z.shape != (n,):
+        if z.ndim not in (1, 2) or z.shape[-1] != n:
             raise ValueError(f"z must have {n} coordinates, got shape {z.shape}")
+        points = z if z.ndim == 2 else z[None]
         perms = list(permutations(range(n))) if symmetrize else [tuple(range(n))]
-        factor = _denominator_factors(z, nodes, index)
         columns = [nodes.take(index[:, b]) for b in range(n)]
         pairs = {(tau[j], tau[k]) for tau in perms for j, k in combinations(range(n), 2)}
         diffs = {(a, b): columns[a] - columns[b] for a, b in pairs}
         terms = kernel_terms(self.family, n, self.l)
-        out = None
-        for tau in perms:
-            value = _permuted_kernel(terms, z, tau, factor, diffs)
-            out = value if out is None else out + value
-        if symmetrize:
-            out = out / len(perms)
-        return out[0] if single else out
+        factor = np.empty((n, n, len(index)), dtype=complex)
+        out = np.empty((len(points), len(index)), dtype=complex)
+        for point, row in zip(points, out):
+            _denominator_factors(point, nodes, index, factor)
+            row[...] = _permuted_kernel(terms, point, perms[0], factor, diffs)
+            for tau in perms[1:]:
+                row += _permuted_kernel(terms, point, tau, factor, diffs)
+            if symmetrize:
+                row /= len(perms)
+        if single:
+            out = out[:, 0]
+        return out if z.ndim == 2 else out[0]
 
 
 def apply_operator(spec, f, z, rule, *, symmetric_f=False):
@@ -283,8 +294,8 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     values of F functions at once.  The result has shape z.shape[:-1] +
     (F,), without the F axis for (m,) values: a complex number for one
     point and one function.  Each chunk of integration points is evaluated
-    by ``f`` once and by the kernel once per point of ``z``, and that one
-    kernel evaluation serves every function.  A chunk holds at most
+    by ``f`` once and by the kernel once for all points of ``z``, and that
+    one kernel evaluation serves every function.  A chunk holds at most
     ``INTEGRAND_CHUNK`` values in all (Z * F * points); ``f`` is called once
     more, at the rule's first tensor point, to read F.
 
@@ -294,7 +305,7 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     integral unchanged for symmetric f -- and the symmetric tensor
     reduction of the rule is used, cutting the node count by n!.  The
     average is one ``KernelSpec.evaluate(..., symmetrize=True)`` call per
-    point of ``z`` and chunk, which builds the kernel's factors once for
+    chunk, which builds the kernel's factors once per point of ``z`` for
     all n! permutations.  The kernel is evaluated at the chunk's rows of
     node indices against the rule's conjugated nodes, and ``f`` at the
     points gathered from them.
@@ -310,9 +321,7 @@ def apply_operator(spec, f, z, rule, *, symmetric_f=False):
     chunk = max(1, INTEGRAND_CHUNK // (len(points) * math.prod(probe.shape[:-1])))
 
     def integrand(index):
-        ker = np.stack(
-            [spec.evaluate(point, index, nodes=conjugated, symmetrize=symmetric_f) for point in points]
-        )
+        ker = spec.evaluate(points, index, nodes=conjugated, symmetrize=symmetric_f)
         values = np.asarray(f(nodes.take(index)))
         return np.expand_dims(ker, tuple(range(1, values.ndim))) * values
 

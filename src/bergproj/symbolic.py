@@ -467,7 +467,8 @@ def _expansion_sides(nv, mutate):
 
     Variables are x_0..x_{nv-1} plus a final slot s.  Left side:
     Vandermonde(x) * s^(nv choose 2).  Right side: the alternating sum over
-    permutations of prod_t (1 - x_{sigma(t)} s)^t for t = 0..nv-1.
+    permutations of prod_t (1 - x_{sigma(t)} s)^t for t = 0..nv-1, each
+    power (1 - x_i s)^t built once per call.
     """
     nvars = nv + 1
     s_index = nv
@@ -480,16 +481,18 @@ def _expansion_sides(nv, mutate):
     s_power[s_index] = nv * (nv - 1) // 2
     lhs = lhs * MultiPoly(nvars, {tuple(s_power): 1})
 
+    zero = tuple([0] * nvars)
+    powers = []
+    for i in range(nv):
+        exps = [0] * nvars
+        exps[i] = exps[s_index] = 1
+        factor = MultiPoly(nvars, {zero: 1, tuple(exps): -1})
+        powers.append([factor**t for t in range(nv)])
     rhs = MultiPoly.zero(nvars)
     for perm in Permutation.group(nv):
         term = MultiPoly.constant(nvars, 1)
         for t in range(nv):
-            zero = tuple([0] * nvars)
-            exps = [0] * nvars
-            exps[perm.mapping[t]] += 1
-            exps[s_index] += 1
-            factor = MultiPoly(nvars, {zero: 1, tuple(exps): -1})
-            term = term * factor**t
+            term = term * powers[perm.mapping[t]][t]
         sign = 1 if mutate else perm.sign
         rhs = rhs + (term if sign > 0 else -term)
     return lhs, rhs

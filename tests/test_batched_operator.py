@@ -221,3 +221,60 @@ class TestIntegrateBatch:
 
         with pytest.raises(OverflowInIntegrand, match="node #7 "):
             integrate_polydisc(f, rule, 2)
+
+
+class TestFiniteCheckOnSums:
+    """``integrate_polydisc`` looks for a non-finite value only when a
+    chunk's or a block's weighted sum is not finite: an inf or nan value
+    still raises the message that names its node and its chunk or block,
+    and finite values whose weighted sum overflows raise nothing."""
+
+    BAD = [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(np.nan, 1.0)]
+
+    @staticmethod
+    def poisoned(target, bad):
+        calls = []
+
+        def f(index):
+            calls.append(np.array(index))
+            out = np.ones((2, len(index)), dtype=complex)
+            out[1, np.all(index == target, axis=1)] = bad
+            return out
+
+        return f, calls
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_full_tensor_names_node_and_chunk(self, bad):
+        rule = disc_rule(3, 6)
+        target, chunk = (4, 9), 50
+        f, _ = self.poisoned(target, bad)
+        with np.errstate(invalid="ignore"), pytest.raises(OverflowInIntegrand) as caught:
+            integrate_polydisc(f, rule, 2, chunk=chunk)
+        flat = target[0] * rule.size + target[1]
+        start = flat - flat % chunk
+        want = f"non-finite integrand value near node #{flat - start} (chunk at {start})"
+        assert str(caught.value) == want
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("n, target, prefix", [(2, (4, 9), "()"), (3, (1, 4, 9), "(1,)")])
+    def test_symmetric_names_node_and_block(self, bad, n, target, prefix):
+        rule = disc_rule(3, 6)
+        f, calls = self.poisoned(target, bad)
+        with np.errstate(invalid="ignore"), pytest.raises(OverflowInIntegrand) as caught:
+            integrate_polydisc(f, rule, n, symmetric=True)
+        # the block is one call at the default chunk, the last one made
+        (node,) = np.flatnonzero(np.all(calls[-1] == target, axis=1))
+        want = f"non-finite integrand value near node #{node} (symmetric n={n}, prefix={prefix})"
+        assert str(caught.value) == want
+
+    @pytest.mark.parametrize("n, symmetric", [(2, False), (3, False), (2, True), (3, True)])
+    def test_finite_values_whose_sum_overflows_raise_nothing(self, n, symmetric):
+        rule = disc_rule(3, 6)
+
+        def f(index):
+            return np.full((2, len(index)), 1e308, dtype=complex)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = integrate_polydisc(f, rule, n, symmetric=symmetric, chunk=97)
+        assert got.shape == (2,)
+        assert np.all(np.isinf(got.real))

@@ -5,6 +5,7 @@ input, 3 quadrature not converged, 4 any other package error)."""
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -249,11 +250,45 @@ class TestBekolleBonamiCommand:
 
     def test_rule_of_no_nodes_exits_4(self, monkeypatch, capsys):
         # about a centre this far outside the disc the graded polar rule
-        # keeps no node; an average over it would divide by a mass of zero
+        # keeps no node; an average over it would divide by a mass of zero.
+        # Such a point is refused first, so the refusal is lifted here to
+        # reach the rule's own check
+        monkeypatch.setattr(estimates, "FAR_WEIGHT_POINT", math.inf)
         monkeypatch.setattr(estimates, "_TABLE_RULES", {})
         code = main(["bekolle-bonami", "--weight", "up", "--p-list", "3", "--points", "1e16"])
         assert code == 4
         assert "InvalidRule: polar rule has no nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("point", ["1e8", "1e16", "1e308", "1e308+1e308j"])
+    def test_far_weight_point_exits_2(self, point, monkeypatch, capsys):
+        # refused before any rule about it is built: no rule error, no
+        # numpy warning
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["bekolle-bonami", "--weight", "up", "--p-list", "3", "--points", point])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: weight point {complex(point)} lies farther than 6.711e+07")
+        assert len(err.splitlines()) == 1
+        assert estimates._TABLE_RULES == {}
+
+    def test_far_point_refused_at_every_p_but_2(self, monkeypatch, capsys):
+        # below p = 2 the graded rule is the dual power's; at p = 2 the
+        # weight is 1 and no rule is built about the point
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        assert main(["bekolle-bonami", "--weight", "up", "--p-list", "1.5", "--points", "1e8"]) == 2
+        assert "weight point (100000000+0j)" in capsys.readouterr().err
+        assert main(["bekolle-bonami", "--weight", "up", "--p-list", "2", "--points", "1e8"]) == 0
+
+    def test_point_within_the_bound_keeps_its_estimate(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        out = tmp_path / "far.json"
+        code = main(["bekolle-bonami", "--weight", "up", "--p-list", "3", "--points", "1e5",
+                     "--out", str(out)])
+        assert code == 0
+        # the estimate this point gave before far points were refused
+        assert read_json(out)["rows"][0]["estimate"] == 1.0000000000185192
 
 
 class TestWeightTablesInOneProcess:

@@ -40,11 +40,12 @@ def test_annihilation_check_fires_traced_layers():
     assert metrics["kernels.apply_operator_calls"] == 2
     assert metrics["quadrature.reduce_calls"] == 2
     assert metrics["kernels.kernel_points"] > 0
-    # one kernel value per sample point and tensor point of the base rule
+    # the kernel points count rows per evaluation, and one evaluation
+    # serves every sample point: one row per tensor point of the base rule
     # and of its refinement
     base = disc_rule(*experiments.DEFAULT_ANNIHILATION_RULE_ORDERS[n])
     tensor_points = base.size**n + refine(base, 1.5, 1.5).size**n
-    assert metrics["kernels.kernel_points"] == len(z_samples) * tensor_points
+    assert metrics["kernels.kernel_points"] == tensor_points
     # the tracer is gone again
     assert not hasattr(experiments.annihilation_check, "__wrapped__")
 
@@ -68,12 +69,13 @@ def test_n3_blowup_fires_traced_layers():
     )
     for name in pinned:
         assert tracer.fired[name] > 0, name
-    # one operator call for both calibration points, and one symmetrized
-    # kernel value per point and sorted triple of the calibration rule
+    # one operator call for both calibration points, and one row of
+    # symmetrized kernel values, for both points at once, per sorted
+    # triple of the calibration rule
     assert metrics["kernels.apply_operator_calls"] == 1
     assert metrics["quadrature.reduce_calls"] == 1
     size = singular_disc_rule(experiments.CALIBRATION_S, 5, 8).size
-    assert metrics["kernels.kernel_points"] == 2 * math.comb(size + 2, 3)
+    assert metrics["kernels.kernel_points"] == math.comb(size + 2, 3)
 
 
 def test_identity_suite_fires_the_exact_layer():
@@ -82,7 +84,10 @@ def test_identity_suite_fires_the_exact_layer():
     # layer, so packing the keys changed the speed of the work, not its
     # size, less the two products (t1 - t2) * diag that the mutated
     # decomposition controls at n = 2 and 3 no longer form once their
-    # numerators have failed (2 calls, 2,565 term products)
+    # numerators have failed (2 calls, 2,565 term products), and less
+    # the powers (1 - x_i s)^t that the determinant expansion builds once
+    # per call rather than once per permutation (18 calls and 54 term
+    # products over the n = 3 expansion and its control)
     for built in (symbolic.full_denominator, symbolic.diagonal_denominator, symbolic.kernel_numerator):
         built.cache_clear()
     tracer = layertrace.Tracer()
@@ -95,5 +100,5 @@ def test_identity_suite_fires_the_exact_layer():
     assert report.passed
     for name in ("MultiPoly.__mul__", "MultiPoly.eval", *layertrace.VERIFIERS):
         assert tracer.fired[name] > 0, name
-    assert metrics["symbolic.poly_mul_calls"] == 352
-    assert metrics["symbolic.term_products"] == 7797
+    assert metrics["symbolic.poly_mul_calls"] == 334
+    assert metrics["symbolic.term_products"] == 7743

@@ -162,3 +162,65 @@ class TestPoleOnIndexRows:
         got = self.message(lambda: apply_operator(spec, functions, z, rule, symmetric_f=symmetric))
         want = self.message(lambda: oracles.row_operator(spec, functions, z, rule, symmetric))
         assert got == want
+
+
+class TestEvaluateOnAStack:
+    """A stack of Z points gives, byte for byte, the rows of Z calls at one
+    point each, in both forms of the rows."""
+
+    @staticmethod
+    def case(n, seed, count):
+        rng = np.random.default_rng(seed)
+        z = interior_points(rng, count, n)
+        # some coordinates zero, one point the origin
+        z[rng.random(z.shape) < 0.3] = 0.0
+        z[-1] = 0.0
+        nodes = np.conj(interior_points(rng, 7, 1, radius=0.95)[:, 0])
+        index = rng.integers(0, len(nodes), (23, n))
+        return z, nodes, index
+
+    @pytest.mark.parametrize("form", ["points", "node_index"])
+    @pytest.mark.parametrize("symmetrize", [False, True])
+    @pytest.mark.parametrize("spec", specs(2) + specs(3), ids=repr)
+    def test_rows_of_single_calls(self, spec, symmetrize, form):
+        z, nodes, index = self.case(spec.n, 11 * spec.n + (spec.l or 0), 4)
+        if form == "points":
+            rows, kwargs = nodes.take(index), {}
+        else:
+            rows, kwargs = index, {"nodes": nodes}
+        got = spec.evaluate(z, rows, symmetrize=symmetrize, **kwargs)
+        assert got.shape == (len(z), len(index)) and got.dtype == complex
+        for point, row in zip(z, got):
+            one = spec.evaluate(point, rows, symmetrize=symmetrize, **kwargs)
+            assert row.tobytes() == one.tobytes()
+        # one row: a value per point
+        got = spec.evaluate(z, rows[5], symmetrize=symmetrize, **kwargs)
+        assert got.shape == (len(z),)
+        for point, value in zip(z, got):
+            assert value == spec.evaluate(point, rows[5], symmetrize=symmetrize, **kwargs)
+
+    def test_stack_of_one_keeps_its_axis(self):
+        z, nodes, index = self.case(3, 2, 1)
+        spec = KernelSpec("t1", 3)
+        got = spec.evaluate(z, index, nodes=nodes)
+        assert got.shape == (1, len(index))
+        assert got[0].tobytes() == spec.evaluate(z[0], index, nodes=nodes).tobytes()
+
+    @pytest.mark.parametrize("z", [np.zeros(2), np.zeros((2, 2)), np.zeros((1, 2, 3))])
+    def test_wrong_point_shape_rejected(self, z):
+        with pytest.raises(ValueError, match="z must have 3 coordinates"):
+            KernelSpec("t1", 3).evaluate(z, np.zeros((4, 3)))
+
+    def test_pole_raises_at_the_first_point_that_meets_it(self):
+        rng = np.random.default_rng(8)
+        spec, nodes = KernelSpec("tilde", 3), np.conj(interior_points(rng, 8, 1)[:, 0])
+        z = interior_points(rng, 3, 3)
+        index = rng.integers(0, 8, (20, 3))
+        index[4] = (2, 2, 2)
+        z[1, 0] = 1.0 / nodes[2]
+        z[2, 1] = 1.0 / nodes[index[9, 0]]
+        with pytest.raises(PoleProximity) as alone:
+            spec.evaluate(z[1], index, nodes=nodes, symmetrize=True)
+        with pytest.raises(PoleProximity) as stacked:
+            spec.evaluate(z, index, nodes=nodes, symmetrize=True)
+        assert str(stacked.value) == str(alone.value)
