@@ -23,7 +23,7 @@ from itertools import permutations
 import numpy as np
 
 from . import symbolic
-from .errors import AmbiguousFit, NonIntegrable, OverflowInIntegrand, QuadratureNotConverged
+from .errors import AmbiguousFit, NonIntegrable, QuadratureNotConverged
 from .estimates import (
     CLASSIFICATION_SAMPLES,
     bb_norm_bound,
@@ -42,10 +42,12 @@ from .kernels import (
 )
 from .symmetrization import Permutation, jacobian_phi
 from .quadrature import (
+    BLOCK_CHUNK,
     PairTable,
     WeightSpec,
-    _check_finite,
+    _non_finite,
     _on_circle,
+    _pairwise_half,
     disc_rule,
     pairwise_sum,
     refine,
@@ -247,6 +249,12 @@ def _norm_sums(n, s, rule, p_list, constant):
     same products and summation tree, from per-node factor tables.  Each
     block is summed by :func:`pairwise_sum` in parts of at most
     ``BLOCK_CHUNK`` tuples, each summed at every p as soon as it is made.
+    A part of at least ``BLOCK_CHUNK // 2`` tuples is summed as the two
+    halves that numpy's pairwise summation splits it into, the second on a
+    worker thread while this thread sums the first; their sums add up to
+    ``np.sum`` of the whole part, bit for bit.  Both halves hold at least
+    2^14 tuples, so their complex temporaries stay as large as numpy needs
+    to reuse them, as the whole part's do (see :func:`chunk_slices`).
     The rule's one :class:`PairTable` also holds each pair's weight
     |w_j - w_k|^2 and what the last two indices add to the family and its
     image: g_j + g_k, g_j g_k, r_j + r_k, r_j r_k and c_j c_k for the
@@ -254,6 +262,10 @@ def _norm_sums(n, s, rule, p_list, constant):
     "image": [...]}``, per p the sum or the :class:`OverflowInIntegrand`
     its integrand raised.
     """
+    # imported here, not with the module, so that runs that sum no norms
+    # import nothing new: a module-level import moved their heap layout
+    from concurrent.futures import ThreadPoolExecutor
+
     g, r, c = factors = family_factors(n, s, rule.nodes)
 
     def pair_values(j, k):
@@ -264,41 +276,71 @@ def _norm_sums(n, s, rule, p_list, constant):
 
     table = PairTable(rule.weights, n, pair_values)
     out = {"h": [0.0] * len(p_list), "image": [0.0] * len(p_list)}
-    # _check_finite raises on a non-finite integrand; numpy need not warn first
-    with np.errstate(over="ignore", invalid="ignore"):
+    kinds = list(out)
+    # the sums of the halves and of the parts may overflow without a warning
+    with (
+        np.errstate(over="ignore", invalid="ignore"),
+        ThreadPoolExecutor(max_workers=1) as worker,
+    ):
         for prefix, length, tuples in table.blocks():
             g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
 
-            def part_sums(parts):
-                for part in parts:
-                    j, k, tensor_weight, pair = tuples(part)
+            def slice_sums(piece, pending):
+                """The sums of the tuples in ``piece`` for the (row, index)
+                pairs in ``pending``, and for each of them whose integrand is
+                not finite its first such tuple, counted from piece.start.
+                Runs on either thread and touches nothing shared."""
+                # numpy's error state is per thread; _norm_sums reports a
+                # non-finite integrand itself, so numpy need not warn first
+                with np.errstate(over="ignore", invalid="ignore"):
+                    j, k, tensor_weight, pair = tuples(piece)
                     weight, g_sum, g_prod, r_sum, r_prod, c_prod = pair
                     if prefix:
                         weight = table.prefix_product(prefix, j, k) * weight
-                    # each value is taken in modulus in the expression that makes it,
-                    # so that no complex temporary outlives its part; numpy then
-                    # reuses the shape's temporary for the product with the
+                    # each value is taken in modulus in the expression that makes
+                    # it, so that no complex temporary outlives its piece; numpy
+                    # then reuses the shape's temporary for the product with the
                     # constant, as it always has
-                    values = {
-                        "h": np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
-                        "image": np.abs(
+                    values = (
+                        np.abs(symmetric_top_from_sums(g_prefix, g_sum, g_prod)),
+                        np.abs(
                             constant * shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod)
                         ),
-                    }
+                    )
                     sums = np.zeros((2, len(p_list)))
-                    for row, (kind, absolute) in enumerate(values.items()):
-                        for index, p in enumerate(p_list):
-                            if isinstance(out[kind][index], Exception):
-                                continue
-                            integrand = absolute**p * weight
-                            where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
-                            try:
-                                _check_finite(integrand, where)
-                            except OverflowInIntegrand as exc:
-                                out[kind][index] = exc
-                                continue
-                            integrand *= tensor_weight
-                            sums[row, index] = np.sum(integrand)
+                    bad = {}
+                    for row, index in pending:
+                        integrand = values[row] ** p_list[index]
+                        integrand *= weight
+                        finite = np.isfinite(integrand)
+                        if not finite.all():
+                            bad[row, index] = int(np.argmin(finite))
+                            continue
+                        integrand *= tensor_weight
+                        sums[row, index] = np.sum(integrand)
+                return sums, bad
+
+            def part_sums(parts):
+                for part in parts:
+                    pending = [
+                        (row, index)
+                        for row, kind in enumerate(kinds)
+                        for index in range(len(p_list))
+                        if not isinstance(out[kind][index], Exception)
+                    ]
+                    if part.stop - part.start < BLOCK_CHUNK // 2:
+                        sums, bad = slice_sums(part, pending)
+                    else:
+                        middle = part.start + _pairwise_half(part.stop - part.start)
+                        second = worker.submit(slice_sums, slice(middle, part.stop), pending)
+                        sums, bad = slice_sums(slice(part.start, middle), pending)
+                        second_sums, second_bad = second.result()
+                        sums += second_sums
+                        for key, node in second_bad.items():
+                            bad.setdefault(key, middle - part.start + node)
+                    where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                    for (row, index), node in bad.items():
+                        out[kinds[row]][index] = _non_finite(node, where)
                     yield sums
 
             total = pairwise_sum(length, part_sums)

@@ -37,7 +37,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations_with_replacement
+from operator import mul
 
 import numpy as np
 
@@ -393,12 +395,16 @@ def refine(rule: QuadratureRule, radial_factor, angular_factor) -> QuadratureRul
     raise ValueError(f"unknown rule family {d['family']!r}")
 
 
+def _non_finite(node, where):
+    return OverflowInIntegrand(f"non-finite integrand value near node #{node} ({where})")
+
+
 def _check_finite(values, where):
     finite = np.isfinite(values)
     if not np.all(finite):
         # a node is bad when any of its batched values is
         bad = int(np.argmin(np.all(finite, axis=tuple(range(finite.ndim - 1)))))
-        raise OverflowInIntegrand(f"non-finite integrand value near node #{bad} ({where})")
+        raise _non_finite(bad, where)
 
 
 #: values per integrand call: a full-tensor chunk holds this many points
@@ -409,7 +415,8 @@ INTEGRAND_CHUNK = 1 << 18
 #: piecewise.  A block that is cut has no part shorter than 2^15 tuples,
 #: half of this, whether it is cut by :func:`chunk_slices` or at the
 #: leaves of :func:`pairwise_sum`, so that the parts round as the whole
-#: block does (see :func:`chunk_slices`)
+#: block does (see :func:`chunk_slices`); the norm pass halves a part of
+#: 2^15 tuples or more, into halves of at least 2^14
 BLOCK_CHUNK = 1 << 16
 
 
@@ -477,10 +484,12 @@ def pairwise_sum(length, part_sums):
     sums may be arrays of several sums each, added elementwise.
 
     ``part_sums`` is a generator rather than a function of one slice so
-    that a part's arrays live until the next part has made its own: freed
-    together at the end of every part, they let glibc trim the top of its
-    heap and fault it in again, which made the n = 2 norm pass about 1.7
-    times slower.
+    that a part's arrays can live until the next part has made its own:
+    freed together at the end of every part, they let glibc trim the top of
+    its heap and fault it in again, which made a single-threaded n = 2 norm
+    pass about 1.7 times slower.  The norm pass sums the two halves of a
+    part on two threads, each half's arrays freed when its sums are made,
+    and takes fewer page faults so than holding them.
     """
     # each leaf hands its slice to part_sums through this list
     handed = []
@@ -598,7 +607,8 @@ class PairTable:
             row = first[_triangle_start(self.size, i) - i :]
             factors += [row[later] for later in prefix[a + 1 :]]
             factors += [row.take(j), row.take(k)]
-        return math.prod(factors)
+        # from the first factor on, where math.prod adds a whole-array 1 * x
+        return reduce(mul, factors)
 
 
 def _batch_total(acc):

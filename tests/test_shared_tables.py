@@ -12,6 +12,7 @@ them again each time (``oracles.py``), bit for bit:
 """
 
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from bergproj.experiments import (
 )
 from bergproj.kernels import KernelSpec
 from bergproj.quadrature import (
+    BLOCK_CHUNK,
     QuadratureRule,
+    _pairwise_half,
     refine,
     singular_disc_rule,
     triangle_indices,
@@ -236,6 +239,52 @@ class TestNormSums:
         got = _norm_sums(n, 0.9, rule, p_list, 1.0)
         assert [isinstance(x, Exception) for x in got["h"]] == [False, True, False, True]
         same_sums(got, norm_sums(n, 0.9, rule, p_list, 1.0))
+
+    # a part of at least BLOCK_CHUNK // 2 tuples is summed as the two halves
+    # of numpy's pairwise split, the second on a worker thread
+    @staticmethod
+    def n2_rule(size, singular_last=False):
+        """``size`` nodes of a rule at s = 0.99, in their order or with the
+        nodes nearest the singularity 1/s last."""
+        base = singular_disc_rule(0.99, 6, 13)
+        order = np.arange(base.size)
+        if singular_last:
+            order = np.argsort(-np.abs(1 - 0.99 * base.nodes), kind="stable")
+        order = order[-size:] if singular_last else order[:size]
+        return QuadratureRule(base.nodes[order].copy(), base.weights[order].copy(), base.descriptor)
+
+    @pytest.mark.parametrize("size,halves", [(255, None), (256, (16448, 16448))])
+    def test_one_part_whole_or_halved(self, size, halves):
+        # 32,640 pairs are one part below BLOCK_CHUNK // 2, summed whole;
+        # 32,896 pairs are one part summed as two halves
+        pairs = size * (size + 1) // 2
+        assert [(part.start, part.stop) for part in pairwise_leaves(pairs)] == [(0, pairs)]
+        assert (pairs >= BLOCK_CHUNK // 2) == (halves is not None)
+        if halves:
+            assert (_pairwise_half(pairs), pairs - _pairwise_half(pairs)) == halves
+        rule = self.n2_rule(size)
+        p_list = [4.0, 1.5, 2.0 * 2 / 3]
+        constant = 0.37 - 0.81j
+        same_sums(_norm_sums(2, 0.99, rule, p_list, constant), norm_sums(2, 0.99, rule, p_list, constant))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_the_second_half(self):
+        # |h|^74 overflows only at pairs of the nodes nearest the
+        # singularity, which come last; the first such tuple lies in the
+        # second half, and is counted from the start of the part
+        rule = self.n2_rule(256, singular_last=True)
+        p_list = [2.0, 74.0, 3.0]
+        got = _norm_sums(2, 0.99, rule, p_list, 1e-6)
+        expected = norm_sums(2, 0.99, rule, p_list, 1e-6)
+        assert type(got["h"][1]) is type(expected["h"][1]) is OverflowInIntegrand
+        same_sums(got, expected)
+        node, start = re.search(r"node #(\d+) \(.*, from (\d+)\)$", str(got["h"][1])).groups()
+        assert int(node) >= _pairwise_half(256 * 257 // 2) and int(start) == 0
+
+    def test_no_thread_outlives_the_pass(self):
+        before = threading.active_count()
+        _norm_sums(2, 0.99, self.n2_rule(256), [2.0], 1.0)
+        assert threading.active_count() == before
 
 
 class TestTriangleIndices:
