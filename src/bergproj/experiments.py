@@ -247,8 +247,8 @@ def _norm_sums(n, s, rule, p_list, constant):
     These are the sums of |f|^p against the squared-Vandermonde weight that
     :func:`integrate_polydisc` makes over the blocks of ``rule``, with the
     same products and summation tree, from per-node factor tables.  Each
-    block is summed by :func:`pairwise_sum` in parts of at most
-    ``BLOCK_CHUNK`` tuples, each summed at every p as soon as it is made.
+    block is summed by :func:`pairwise_sum` one part of at most
+    ``BLOCK_CHUNK`` tuples at a time, each summed at every p as it is made.
     A part of at least ``BLOCK_CHUNK // 2`` tuples is summed as the two
     halves that numpy's pairwise summation splits it into, the second on a
     worker thread while this thread sums the first; their sums add up to
@@ -260,7 +260,7 @@ def _norm_sums(n, s, rule, p_list, constant):
     image: g_j + g_k, g_j g_k, r_j + r_k, r_j r_k and c_j c_k for the
     factors (g, r, c) of :func:`family_factors`.  Returns ``{"h": [...],
     "image": [...]}``, per p the sum or the :class:`OverflowInIntegrand`
-    its integrand raised.
+    of its first non-finite integrand.
     """
     # imported here, not with the module, so that runs that sum no norms
     # import nothing new: a module-level import moved their heap layout
@@ -285,11 +285,11 @@ def _norm_sums(n, s, rule, p_list, constant):
         for prefix, length, tuples in table.blocks():
             g_prefix, r_prefix, c_prefix = ([x[i] for i in prefix] for x in factors)
 
-            def slice_sums(piece, pending):
-                """The sums of the tuples in ``piece`` for the (row, index)
-                pairs in ``pending``, and for each of them whose integrand is
-                not finite its first such tuple, counted from piece.start.
-                Runs on either thread and touches nothing shared."""
+            def slice_sums(piece):
+                """The sums of the tuples in ``piece`` at every (row, index),
+                and for each whose integrand is not finite its first such
+                tuple, counted from piece.start.  Runs on either thread and
+                touches nothing shared."""
                 # numpy's error state is per thread; _norm_sums reports a
                 # non-finite integrand itself, so numpy need not warn first
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -309,7 +309,7 @@ def _norm_sums(n, s, rule, p_list, constant):
                     )
                     sums = np.zeros((2, len(p_list)))
                     bad = {}
-                    for row, index in pending:
+                    for row, index in np.ndindex(sums.shape):
                         integrand = values[row] ** p_list[index]
                         integrand *= weight
                         finite = np.isfinite(integrand)
@@ -320,30 +320,25 @@ def _norm_sums(n, s, rule, p_list, constant):
                         sums[row, index] = np.sum(integrand)
                 return sums, bad
 
-            def part_sums(parts):
-                for part in parts:
-                    pending = [
-                        (row, index)
-                        for row, kind in enumerate(kinds)
-                        for index in range(len(p_list))
-                        if not isinstance(out[kind][index], Exception)
-                    ]
-                    if part.stop - part.start < BLOCK_CHUNK // 2:
-                        sums, bad = slice_sums(part, pending)
-                    else:
-                        middle = part.start + _pairwise_half(part.stop - part.start)
-                        second = worker.submit(slice_sums, slice(middle, part.stop), pending)
-                        sums, bad = slice_sums(slice(part.start, middle), pending)
-                        second_sums, second_bad = second.result()
-                        sums += second_sums
-                        for key, node in second_bad.items():
-                            bad.setdefault(key, middle - part.start + node)
-                    where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
-                    for (row, index), node in bad.items():
+            def part_sum(part):
+                if part.stop - part.start < BLOCK_CHUNK // 2:
+                    sums, bad = slice_sums(part)
+                else:
+                    middle = part.start + _pairwise_half(part.stop - part.start)
+                    second = worker.submit(slice_sums, slice(middle, part.stop))
+                    sums, bad = slice_sums(slice(part.start, middle))
+                    second_sums, second_bad = second.result()
+                    sums += second_sums
+                    for key, node in second_bad.items():
+                        bad.setdefault(key, middle - part.start + node)
+                where = f"symmetric n={n}, prefix={prefix}, from {part.start}"
+                for (row, index), node in bad.items():
+                    # the first non-finite integrand of each sum wins
+                    if not isinstance(out[kinds[row]][index], Exception):
                         out[kinds[row]][index] = _non_finite(node, where)
-                    yield sums
+                return sums
 
-            total = pairwise_sum(length, part_sums)
+            total = pairwise_sum(0, length, part_sum)
             for row, kind in enumerate(out):
                 for index, value in enumerate(total[row]):
                     if not isinstance(out[kind][index], Exception):

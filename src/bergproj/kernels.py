@@ -97,20 +97,6 @@ def test_function_hs(n, s, pts):
     return out[0] if single else out
 
 
-def tildeT2_closed_form(s, z):
-    """Closed form of the conjugate-Vandermonde operator on the n=2 family.
-
-    Normalized so that applying the kernel by quadrature to
-    ``test_function_hs(2, s, .)`` gives pi times this value.  No driver
-    calls it yet: it is the exact image an exact blow-up verdict at the
-    n = 2 endpoint p = 4 needs.
-    """
-    z1, z2 = complex(z[0]), complex(z[1])
-    a = s * s / (math.pi * (1.0 - z1 * s) ** 2 * (1.0 - z2 * s))
-    b = s * s / (math.pi * (1.0 - z2 * s) ** 2 * (1.0 - z1 * s))
-    return a + b
-
-
 def shape_from_sums(s, r_prefix, c_prefix, r_sum, r_prod, c_prod):
     """:func:`tilde_shape` from the factors r and c of :func:`family_factors`:
     s^(n(n-1)) (n-1)! e_{n-1}(r) / prod c.  The prefixes hold the factors of
@@ -128,8 +114,8 @@ def tilde_shape(n, s, pts):
     """Unit-constant model for the conjugate-Vandermonde operator output.
 
     sum over tau of s^(n(n-1)) / ( prod_{m<n} (1 - z_{tau(m)} s) *
-    prod_l (1 - z_l s)^(n-1) ).  For n = 2 this is exactly pi times
-    ``tildeT2_closed_form``; for n = 3 the experiments fit the constant.
+    prod_l (1 - z_l s)^(n-1) ).  For n = 2 this is the image itself; for
+    n = 3 the experiments fit the constant.
     """
     pts, single = _as_rows(pts, n)
     _, r, c = family_factors(n, s, pts)

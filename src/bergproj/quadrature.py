@@ -23,8 +23,8 @@ one ``PairTable``: one block per sorted prefix of the first n - 2
 indices, any slice of it built on its own with functions of its last two
 nodes, which are tabulated once where several blocks read them (n >= 3)
 and made slice by slice where one block does (n = 2).  ``pairwise_sum``
-sums a block part by part, cut where numpy's pairwise summation splits
-it, and equals the whole block's ``np.sum`` bit for bit.
+sums a block one part per call, cut where numpy's pairwise summation
+splits it, and equals the whole block's ``np.sum`` bit for bit.
 
 Every rule, here and in ``estimates``, takes its Gauss-Legendre nodes from
 ``legendre_nodes``, which computes them once per order on first use and
@@ -413,10 +413,10 @@ INTEGRAND_CHUNK = 1 << 18
 
 #: tuples per part when a symmetric block or a pair table is evaluated
 #: piecewise.  A block that is cut has no part shorter than 2^15 tuples,
-#: half of this, whether it is cut by :func:`chunk_slices` or at the
-#: leaves of :func:`pairwise_sum`, so that the parts round as the whole
-#: block does (see :func:`chunk_slices`); the norm pass halves a part of
-#: 2^15 tuples or more, into halves of at least 2^14
+#: half of this, whether it is cut by :func:`chunk_slices` or by
+#: :func:`pairwise_sum`, one part per call, so that the parts round as the
+#: whole block does (see :func:`chunk_slices`); the norm pass halves a part
+#: of 2^15 tuples or more, into halves of at least 2^14
 BLOCK_CHUNK = 1 << 16
 
 
@@ -471,46 +471,22 @@ def _pairwise_half(length):
     return half - half % 8
 
 
-def pairwise_sum(length, part_sums):
-    """``np.sum`` of ``length`` float64 values that are made part by part.
+def pairwise_sum(start, stop, part_sum):
+    """``np.sum`` of the float64 values at range(start, stop), made in parts.
 
-    ``part_sums(parts)`` takes an iterator of slices of range(length) and
-    yields the sum of the values in each slice before it takes the next.
-    The slices run from left to right and hold at most ``BLOCK_CHUNK``
-    values: the whole is cut where numpy's pairwise summation splits it,
-    and cut again in each half.  Their sums are added along the same tree.
-    numpy sums more than 128 contiguous float64 values as the sum of its
-    two halves, so the result is ``np.sum`` of the whole, bit for bit.  The
-    sums may be arrays of several sums each, added elementwise.
-
-    ``part_sums`` is a generator rather than a function of one slice so
-    that a part's arrays can live until the next part has made its own:
-    freed together at the end of every part, they let glibc trim the top of
-    its heap and fault it in again, which made a single-threaded n = 2 norm
-    pass about 1.7 times slower.  The norm pass sums the two halves of a
-    part on two threads, each half's arrays freed when its sums are made,
-    and takes fewer page faults so than holding them.
+    ``part_sum(part)`` returns the sum of the values in the slice ``part``.
+    It is called once per part, from left to right, on parts of at most
+    ``BLOCK_CHUNK`` values: the range is cut where numpy's pairwise
+    summation splits it, and cut again in each half.  Their sums are added
+    along the same tree.  numpy sums more than 128 contiguous float64
+    values as the sum of its two halves, so the result is ``np.sum`` of the
+    whole, bit for bit.  The sums may be arrays of several sums each, added
+    elementwise.
     """
-    # each leaf hands its slice to part_sums through this list
-    handed = []
-    sums = part_sums(iter(handed.pop, None))
-
-    def total(start, stop):
-        if stop - start <= BLOCK_CHUNK:
-            handed.append(slice(start, stop))
-            return next(sums)
-        middle = start + _pairwise_half(stop - start)
-        return total(start, middle) + total(middle, stop)
-
-    try:
-        return total(0, length)
-    finally:
-        # part_sums is left suspended after its last sum, holding the last
-        # part's arrays; through the reference cycle of the recursive total
-        # they would stay until the next garbage collection, and the arrays
-        # made after them would pile up above them (the scan_n2 peak rose
-        # from 51 to 75 MB)
-        sums.close()
+    if stop - start <= BLOCK_CHUNK:
+        return part_sum(slice(start, stop))
+    middle = start + _pairwise_half(stop - start)
+    return pairwise_sum(start, middle, part_sum) + pairwise_sum(middle, stop, part_sum)
 
 
 class PairTable:

@@ -38,7 +38,10 @@ them, and the tests hold the new paths to them bit for bit:
 * two integrals that only tests take: the weighted L^p norm by tensor
   quadrature, which the fused norm pass must match bit for bit, and
   plain Monte Carlo over the polydisc, the independent route of the
-  3-sigma check.
+  3-sigma check;
+* the closed form of the tilde operator's image of the n = 2 family,
+  written out by hand, against which the quadrature and ``tilde_shape``
+  are checked.
 
 ``at_points`` adapts an integrand of points to ``integrate_polydisc``,
 which hands its integrand rows of node indices.
@@ -651,8 +654,21 @@ def pairwise_leaves(length):
     """The slices that ``pairwise_sum`` cuts range(length) into, in the
     order it sums them."""
     leaves = []
-    pairwise_sum(length, lambda parts: (leaves.append(part) or 0.0 for part in parts))
+    pairwise_sum(0, length, lambda part: leaves.append(part) or 0.0)
     return leaves
+
+
+def tildeT2_closed_form(s, z):
+    """Closed form of the conjugate-Vandermonde operator on the n=2 family.
+
+    Normalized so that applying the kernel by quadrature to
+    ``test_function_hs(2, s, .)`` gives pi times this value, and so that
+    ``tilde_shape(2, s, z)`` is exactly pi times it.
+    """
+    z1, z2 = complex(z[0]), complex(z[1])
+    a = s * s / (math.pi * (1.0 - z1 * s) ** 2 * (1.0 - z2 * s))
+    b = s * s / (math.pi * (1.0 - z2 * s) ** 2 * (1.0 - z1 * s))
+    return a + b
 
 
 def monte_carlo_polydisc(f, sample_count, seed, n):

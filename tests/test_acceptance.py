@@ -28,7 +28,6 @@ from bergproj.kernels import (
     KernelSpec,
     apply_operator,
     test_function_hs as hs_family,
-    tildeT2_closed_form,
 )
 from bergproj.quadrature import (
     WeightSpec,
@@ -36,7 +35,7 @@ from bergproj.quadrature import (
     integrate_polydisc,
     singular_disc_rule,
 )
-from oracles import at_points, monte_carlo_polydisc
+from oracles import at_points, monte_carlo_polydisc, tildeT2_closed_form
 
 
 def report_line(number, name, ok, detail=""):

@@ -17,12 +17,12 @@ from bergproj.errors import PoleProximity
 from bergproj.kernels import (
     KernelSpec,
     apply_operator,
-    tildeT2_closed_form,
     tilde_shape,
 )
 from bergproj.kernels import test_function_hs as hs_family
 from bergproj.quadrature import disc_rule, singular_disc_rule
 from bergproj.symbolic import KERNEL_TABLE, full_denominator, kernel_numerator
+from oracles import tildeT2_closed_form
 
 
 def random_interior(rng, count, n, radius=0.7):

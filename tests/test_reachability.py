@@ -33,8 +33,6 @@ DRIVERS = (
 
 #: definitions no entry point reaches, kept on purpose
 KEEP = {
-    # the exact n = 2 operator image, for an exact verdict at p = 4
-    ("kernels", "tildeT2_closed_form"),
     # the published report schema, which the tests validate against
     ("experiments", "REPORT_SCHEMA"),
 }

@@ -27,7 +27,7 @@ from bergproj.experiments import (
     _calibrate_image_constant,
     _norm_sums,
 )
-from bergproj.kernels import KernelSpec
+from bergproj.kernels import KernelSpec, family_factors
 from bergproj.quadrature import (
     BLOCK_CHUNK,
     QuadratureRule,
@@ -239,6 +239,38 @@ class TestNormSums:
         got = _norm_sums(n, 0.9, rule, p_list, 1.0)
         assert [isinstance(x, Exception) for x in got["h"]] == [False, True, False, True]
         same_sums(got, norm_sums(n, 0.9, rule, p_list, 1.0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_overflow_across_parts_wins_at_n2(self):
+        # |h|^72.5 = |g_j + g_k|^72.5 overflows only at pairs of two of the
+        # 48 nodes nearest the singularity; with every other one of them
+        # after the first 100 nodes and the rest last, the one block of
+        # 205,120 pairs overflows in its second part and again in its last
+        base = singular_disc_rule(0.99, 8, 16)
+        near = np.argsort(np.abs(1 - 0.99 * base.nodes), kind="stable")
+        group, rest = near[:48], near[48:]
+        order = np.concatenate([rest[:100], group[0::2], rest[100:], group[1::2]])
+        rule = QuadratureRule(base.nodes[order].copy(), base.weights[order].copy(), base.descriptor)
+        leaves = pairwise_leaves(rule.size * (rule.size + 1) // 2)
+        assert len(leaves) == 4
+        p = 72.5
+        g = family_factors(2, 0.99, rule.nodes)[0]
+        finite = []
+        for part in leaves:
+            j, k = triangle_indices(rule.size, part.start, part.stop)
+            integrand = np.abs(g[j] + g[k]) ** p * np.abs(rule.nodes[j] - rule.nodes[k]) ** 2
+            finite.append(bool(np.isfinite(integrand).all()))
+        assert finite == [True, False, True, False]
+        p_list = [2.0, p, 3.0]
+        got = _norm_sums(2, 0.99, rule, p_list, 1e-6)
+        expected = norm_sums(2, 0.99, rule, p_list, 1e-6)
+        assert type(got["h"][1]) is type(expected["h"][1]) is OverflowInIntegrand
+        same_sums(got, expected)
+        where = re.compile(r"node #(\d+) \(symmetric n=2, prefix=\(\), from (\d+)\)$")
+        node, start = map(int, where.search(str(got["h"][1])).groups())
+        old_node, old_start = map(int, where.search(str(expected["h"][1])).groups())
+        assert start == leaves[1].start
+        assert start + node == old_start + old_node
 
     # a part of at least BLOCK_CHUNK // 2 tuples is summed as the two halves
     # of numpy's pairwise split, the second on a worker thread

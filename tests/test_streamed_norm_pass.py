@@ -40,12 +40,11 @@ def spread_values(seed, length):
 def assert_sums_on_numpys_tree(values):
     parts = []
 
-    def part_sums(slices):
-        for part in slices:
-            parts.append(part)
-            yield np.sum(values[part])
+    def part_sum(part):
+        parts.append(part)
+        return np.sum(values[part])
 
-    total = pairwise_sum(len(values), part_sums)
+    total = pairwise_sum(0, len(values), part_sum)
     covered = np.concatenate([np.arange(len(values))[part] for part in parts])
     assert np.array_equal(covered, np.arange(len(values)))
     lengths = [part.stop - part.start for part in parts]
@@ -67,25 +66,9 @@ class TestPairwiseSum:
 
     def test_sums_of_several_values_add_elementwise(self):
         values = np.stack([spread_values(seed, 5 * BLOCK_CHUNK + 3) for seed in (1, 2)])
-        total = pairwise_sum(
-            values.shape[1], lambda parts: (np.sum(values[:, part], axis=1) for part in parts)
-        )
+        total = pairwise_sum(0, values.shape[1], lambda part: np.sum(values[:, part], axis=1))
         for row, value in zip(values, total, strict=True):
             assert float(value).hex() == float(np.sum(row)).hex()
-
-    def test_part_sums_ends_when_the_sum_returns(self):
-        # a suspended part_sums would hold its last part's arrays
-        ended = []
-
-        def part_sums(parts):
-            try:
-                for part in parts:
-                    yield float(part.stop - part.start)
-            finally:
-                ended.append(True)
-
-        assert pairwise_sum(3 * BLOCK_CHUNK + 5, part_sums) == 3 * BLOCK_CHUNK + 5
-        assert ended == [True]
 
 
 class TestTriangleParts:
