@@ -9,17 +9,17 @@ Three independent pillars support the operator experiments:
   logarithmically, or grows like a power of (1-|z|^2) as |z| -> 1.
 * Carleson tents ``T_z`` (boundary discs of radius 1-|z|) carry the
   two-weight averages whose supremum is the Bekolle-Bonami constant;
-  ``bekolle_bonami_estimate`` samples that supremum over an apex grid,
-  one circle of apexes at a time: a circle's rule is its tent rules
-  joined, so the weight is evaluated once per circle and p, and each
-  tent sums its own slice.  Its rules -- one per apex circle, the
-  whole-disc disc rules and the two graded polar rules -- depend on the
-  weight's points but not on p, so they are built once per weight table
-  (the weight's points) and shared, read-only, by every p of it.  The
-  memo holds one table at a time: the rules of a table are dropped
-  before the first rule of another is built.  The default rules of the
-  growth integral form one more table, so a classification at several
-  exponents builds them once.
+  ``bekolle_bonami_estimate`` samples that supremum at the origin,
+  whose tent is the whole disc, and then one circle of apexes at a
+  time: a circle's rule is its tent rules joined, so the weight is
+  evaluated once per circle and p, and each tent sums its own slice.
+  Its rules -- one per apex circle, the whole-disc disc rules and the
+  graded polar rules -- depend on the weight's points but not on p, so
+  they are built once per weight table (the weight's points) and
+  shared, read-only, by every p of it.  The memo holds one table at a
+  time: the rules of a table are dropped before the first rule of
+  another is built.  The default rules of the growth integral form one
+  more table, so a classification at several exponents builds them once.
 * ``sector_annulus_integral`` integrates |1-zs|^(-k) over the annular
   sector around 1/s that drives the lower bounds in the blow-up
   experiments, in closed form and by an independent polar cubature.
@@ -65,8 +65,8 @@ INTEGRABILITY_CUTOFFS = (1e-140, 1e-280)
 #: disc any more (at 1e8 the nodes fall outside it, at 1e16 none is left)
 FAR_WEIGHT_POINT = float(np.finfo(float).eps) ** -0.5
 
-#: the weight constant's apex grid (the origin plus APEX_LEVELS circles of
-#: APEX_ANGLES apexes) and the per-axis order of its tent rules
+#: the weight constant's apex grid (APEX_LEVELS circles of APEX_ANGLES
+#: apexes, besides the origin) and the per-axis order of its tent rules
 APEX_LEVELS, APEX_ANGLES, TENT_ORDER = 8, 32, 48
 
 #: Gauss-Legendre orders of the sector cubature: radial per log panel, angular
@@ -208,47 +208,27 @@ class TentRegion:
             raise ValueError("tent apex must lie inside the disc")
         object.__setattr__(self, "apex", apex)
 
-    @property
-    def is_whole_disc(self):
-        return self.apex == 0
-
-    @property
-    def boundary_center(self):
-        if self.is_whole_disc:
-            return 0j
-        return self.apex / abs(self.apex)
-
-    @property
-    def radius(self):
-        return 1.0 if self.is_whole_disc else 1.0 - abs(self.apex)
-
-    def contains(self, w):
-        w = np.asarray(w, dtype=complex)
-        inside = np.abs(w) < 1.0
-        if self.is_whole_disc:
-            return inside
-        return inside & (np.abs(w - self.boundary_center) < self.radius)
-
 
 def tent_rule(tent, order):
     """Product rule over the tent: its bounding box with rejection.
 
     The tent of apex 0 is the whole disc and gets the native disc rule.
     Otherwise Gauss-Legendre nodes on the bounding square of the tent
-    disc are masked by tent membership; an even order avoids placing a
-    node at the exact box center where weights may be singular.
+    disc are kept where they lie strictly inside both the tent disc and
+    the unit disc; an even order avoids placing a node at the exact box
+    center where weights may be singular.
     """
-    if tent.is_whole_disc:
+    if tent.apex == 0:
         return disc_rule(order, 2 * order)
     order = int(order) + int(order) % 2
-    c, r = tent.boundary_center, tent.radius
+    c, r = tent.apex / abs(tent.apex), 1.0 - abs(tent.apex)
     gx, gwx = legendre_nodes(order)
     x = c.real + r * gx
     y = c.imag + r * gx
     w2d = np.outer(r * gwx, r * gwx)
     nodes = (x[:, None] + 1j * y[None, :]).ravel()
     weights = w2d.ravel()
-    mask = tent.contains(nodes)
+    mask = (np.abs(nodes) < 1.0) & (np.abs(nodes - c) < r)
     return QuadratureRule(
         nodes=nodes[mask],
         weights=weights[mask],
@@ -288,30 +268,23 @@ def _table_rule(table, builder, *args):
     return rule
 
 
-def tent_average(weight, power, tent, order, inner_cutoff):
-    """Average of weight^power over the tent.
+def tent_average(weight, power, order, inner_cutoff):
+    """Average of weight^power over the whole disc, the tent of apex 0.
 
     Point-product weights raised to a negative total exponent are
-    integrated over the whole disc with a polar rule graded at the first
-    singular point down to the relative cutoff ``inner_cutoff`` (see
-    :func:`polar_rule_at`), and the singular factor is evaluated from the exact
-    ring radii (the node coordinates absorb radii below machine epsilon
-    relative to the center).  Everything else uses the tent's own rule,
-    as a group of one tent (``_tent_averages``).  Either rule comes from
-    the memo of the weight's table, its points (``_table_rule``).  A
-    graded rule about a point farther than ``FAR_WEIGHT_POINT`` from the
-    origin raises ValueError before it is built.
+    integrated with a polar rule graded at the first singular point down
+    to the relative cutoff ``inner_cutoff`` (see :func:`polar_rule_at`),
+    and the singular factor is evaluated from the exact ring radii (the
+    node coordinates absorb radii below machine epsilon relative to the
+    center).  Everything else uses the disc rule of :func:`tent_rule`.
+    Either rule comes from the memo of the weight's table, its points
+    (``_table_rule``).  A graded rule about a point farther than
+    ``FAR_WEIGHT_POINT`` from the origin is refused with ValueError.
     """
     total_exponent = (
         weight.exponent * power if weight.kind == "point_product" else 0.0
     )
-    graded = (
-        tent.is_whole_disc
-        and weight.kind == "point_product"
-        and total_exponent < 0
-        and len(weight.points) > 0
-    )
-    if graded:
+    if weight.kind == "point_product" and total_exponent < 0 and len(weight.points) > 0:
         center = weight.points[0]
         if not abs(center) <= FAR_WEIGHT_POINT:
             raise ValueError(
@@ -339,8 +312,9 @@ def tent_average(weight, power, tent, order, inner_cutoff):
                 "tent average diverges beyond float range"
             )
         return float(np.sum(terms)) / float(np.sum(rule.weights))
-    (average,) = next(_tent_averages(weight, (power,), (tent.apex,), order))
-    return average
+    rule = _table_rule(weight.points, tent_rule, TentRegion(0j), order)
+    total = _rule_sum(weight.evaluate(rule.nodes) ** power, rule.weights, "tent average")
+    return total / float(np.sum(rule.weights))
 
 
 def tent_group_rule(apexes, order):
@@ -363,37 +337,11 @@ def tent_group_rule(apexes, order):
     )
 
 
-def _tent_averages(weight, powers, apexes, order):
-    """For each tent of the apexes, in order, its averages of
-    weight^power, one per power.
-
-    The weight and each power are evaluated once on the group's rule,
-    and each tent sums its own slice, so every average is bit for bit
-    the one of the tent's own rule.  The averages are yielded tent by
-    tent and a non-finite value raises OverflowInIntegrand when its tent
-    is reached, so a caller that stops at an earlier tent never sees it.
-    """
-    rule = _table_rule(weight.points, tent_group_rule, tuple(apexes), order)
-    starts = rule.aux["start"]
-    values = weight.evaluate(rule.nodes)
-    powered = [values**power for power in powers]
-    finite = [np.logical_and.reduceat(np.isfinite(v), starts).tolist() for v in powered]
-    terms = [rule.weights * v for v in powered]
-    bounds = starts.tolist() + [rule.size]
-    for t, mass in enumerate(rule.aux["mass"].tolist()):
-        averages = []
-        for ok, term in zip(finite, terms):
-            if not ok[t]:
-                raise OverflowInIntegrand("non-finite integrand value in tent average")
-            averages.append(float(term[bounds[t] : bounds[t + 1]].sum()) / mass)
-        yield averages
-
-
 def default_apex_grid():
-    """Apex grid clustered toward the boundary, as lists of apexes: the
-    origin alone, then one list of APEX_ANGLES apexes per circle of radius
-    1 - 2^-k, k = 1, ..., APEX_LEVELS."""
-    grid = [[0j]]
+    """Apex grid clustered toward the boundary, as lists of apexes: one
+    list of APEX_ANGLES apexes per circle of radius 1 - 2^-k, k = 1, ...,
+    APEX_LEVELS.  The origin is not on it: its tent is the whole disc."""
+    grid = []
     for k in range(1, APEX_LEVELS + 1):
         radius = 1.0 - 2.0**-k
         grid.append(
@@ -405,27 +353,28 @@ def default_apex_grid():
 def bekolle_bonami_estimate(weight, p):
     """Grid maximum of (avg of u over T_z) (avg of u^(-1/(p-1)) over T_z)^(p-1).
 
-    This samples the supremum defining the weight constant over
-    :func:`default_apex_grid`, so it is a lower bound for it, with tent
-    rules of order ``TENT_ORDER``.  Both the weight and its dual power
-    are first integrated over the whole disc at two resolutions -- the refinement also deepens the
-    graded-rule cutoff -- and a shift above 50% raises NonIntegrable.  The
-    coarser pair is the whole-disc tent's (apex 0) pair of averages.
-    The other tents go one circle at a time: the memo holds one rule per
-    circle, the tent rules of its apexes joined, and the weight is
-    evaluated once per circle and p.  Every rule comes from the memo of
-    the weight's table, its points, so later p of the same table build
-    none.
+    This samples the supremum defining the weight constant at the origin
+    and over :func:`default_apex_grid`, so it is a lower bound for it,
+    with tent rules of order ``TENT_ORDER``.  Both the weight and its
+    dual power are first averaged over the whole disc, the origin's tent,
+    at two resolutions -- the refinement also deepens the graded-rule
+    cutoff -- and a shift above 50% raises NonIntegrable; the coarser
+    pair is the origin's.  The circles go one at a time: the memo holds
+    one rule per circle, the tent rules of its apexes joined, the weight
+    is evaluated once per circle and p, and each tent sums its own slice,
+    bit for bit the tent's own rule; a non-finite value raises
+    OverflowInIntegrand at the first tent that holds one.  Every rule
+    comes from the memo of the weight's table, its points, so later p of
+    the same table build none.
     """
     if p <= 1:
         raise ValueError("the exponent p must exceed 1")
     dual_power = -1.0 / (p - 1.0)
-    disc_tent = TentRegion(0j)
-    whole_disc = []  # the apex-0 averages: same order, same cutoff
+    whole_disc = []  # the origin's averages: same order, same cutoff
     for power in (1.0, dual_power):
         try:
-            base = tent_average(weight, power, disc_tent, TENT_ORDER, INTEGRABILITY_CUTOFFS[0])
-            fine = tent_average(weight, power, disc_tent, 2 * TENT_ORDER, INTEGRABILITY_CUTOFFS[1])
+            base = tent_average(weight, power, TENT_ORDER, INTEGRABILITY_CUTOFFS[0])
+            fine = tent_average(weight, power, 2 * TENT_ORDER, INTEGRABILITY_CUTOFFS[1])
         except OverflowInIntegrand as exc:
             raise NonIntegrable(
                 f"weight power {power:g} overflows under a graded rule"
@@ -439,13 +388,23 @@ def bekolle_bonami_estimate(weight, p):
             )
         whole_disc.append(base)
 
-    best = 0.0
+    avg_u, avg_dual = whole_disc
+    best = max(0.0, avg_u * avg_dual ** (p - 1.0))
     for circle in default_apex_grid():
-        if circle[0] == 0:
-            averages = [whole_disc]
-        else:
-            averages = _tent_averages(weight, (1.0, dual_power), circle, TENT_ORDER)
-        for avg_u, avg_dual in averages:
+        rule = _table_rule(weight.points, tent_group_rule, tuple(circle), TENT_ORDER)
+        u = weight.evaluate(rule.nodes)
+        dual = u**dual_power
+        starts = rule.aux["start"]
+        finite = np.logical_and.reduceat(np.isfinite(u) & np.isfinite(dual), starts).tolist()
+        u *= rule.weights
+        dual *= rule.weights
+        bounds = starts.tolist() + [rule.size]
+        for t, mass in enumerate(rule.aux["mass"].tolist()):
+            if not finite[t]:
+                raise OverflowInIntegrand("non-finite integrand value in tent average")
+            tent = slice(bounds[t], bounds[t + 1])
+            avg_u = float(u[tent].sum()) / mass
+            avg_dual = float(dual[tent].sum()) / mass
             best = max(best, avg_u * avg_dual ** (p - 1.0))
     return best
 

@@ -356,7 +356,7 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
             "angular_order": int(angular_order),
             "inner_cutoff": inner_cutoff,
         },
-        aux={"center": center, "center_distance": dists, "log_weight": log_weights},
+        aux={"center_distance": dists, "log_weight": log_weights},
     )
 
 

@@ -163,7 +163,6 @@ def polar_rule_at(center, radial_order, angular_order, inner_cutoff=INNER_CUTOFF
             "inner_cutoff": inner_cutoff,
         },
         aux={
-            "center": center,
             "center_distance": np.concatenate(dists),
             "log_weight": np.concatenate(log_weights),
         },
@@ -175,7 +174,7 @@ def tent_average(weight, power, tent, order, inner_cutoff=INTEGRABILITY_CUTOFFS[
         weight.exponent * power if weight.kind == "point_product" else 0.0
     )
     graded = (
-        tent.is_whole_disc
+        tent.apex == 0
         and weight.kind == "point_product"
         and total_exponent < 0
         and len(weight.points) > 0
@@ -240,7 +239,7 @@ def bekolle_bonami_estimate(weight, p, apex_grid=None, rule=48):
             )
 
     if apex_grid is None:
-        apex_grid = flat(default_apex_grid())
+        apex_grid = [0j] + flat(default_apex_grid())
     best = 0.0
     for apex in apex_grid:
         tent = TentRegion(complex(apex))

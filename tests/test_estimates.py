@@ -155,19 +155,17 @@ def lens_area(r):
 
 
 class TestTents:
-    def test_membership(self):
-        whole = TentRegion(0j)
-        assert whole.contains(0.999)
-        assert not whole.contains(1.0)
+    @pytest.mark.parametrize("apex", [0.5 + 0j, 0.9j, -0.3 - 0.4j, 0.999 + 0j])
+    @pytest.mark.parametrize("order", [8, 9, 48])
+    def test_nodes_strictly_inside_the_tent(self, apex, order):
+        # the tent is the disc of radius 1 - |apex| about apex / |apex|,
+        # cut by the unit disc; no node lies on either circle
+        nodes = tent_rule(TentRegion(apex), order).nodes
+        assert np.all(np.abs(nodes) < 1.0)
+        assert np.all(np.abs(nodes - apex / abs(apex)) < 1.0 - abs(apex))
 
-        tent = TentRegion(0.5 + 0j)
-        assert tent.contains(0.8)  # 0.2 from the boundary center
-        assert not tent.contains(0.4)  # 0.6 away, radius is 0.5
-        assert not tent.contains(0.5 - 0.5j)
-
-    def test_membership_is_strict(self):
-        tent = TentRegion(0.5 + 0j)
-        assert not tent.contains(0.5)  # exactly on the tent circle
+    def test_whole_disc_nodes_inside_the_disc(self):
+        assert np.all(np.abs(tent_rule(TentRegion(0j), 24).nodes) < 1.0)
 
     def test_apex_must_be_interior(self):
         with pytest.raises(ValueError):
@@ -193,20 +191,18 @@ class TestTents:
 
 class TestTentAverages:
     def test_constant_weight_is_exactly_one(self):
-        for apex in (0j, 0.5 + 0j, 0.9j):
-            weight = WeightSpec.jacobian_power(0.0)
-            avg = tent_average(weight, 1.0, TentRegion(apex), 32, INTEGRABILITY_CUTOFFS[0])
-            assert avg == 1.0
+        weight = WeightSpec.jacobian_power(0.0)
+        assert tent_average(weight, 1.0, 32, INTEGRABILITY_CUTOFFS[0]) == 1.0
 
     def test_graded_average_exact(self):
         # the average of |w|^-1 over the disc is (2 pi) / pi = 2
         weight = WeightSpec.point_product([0], -1.0)
-        avg = tent_average(weight, 1.0, TentRegion(0j), 48, INTEGRABILITY_CUTOFFS[0])
+        avg = tent_average(weight, 1.0, 48, INTEGRABILITY_CUTOFFS[0])
         assert avg == pytest.approx(2.0, rel=1e-12)
 
     def test_off_center_graded_average_matches_adaptive_quadrature(self):
         weight = WeightSpec.point_product([0.5], -1.0)
-        avg = tent_average(weight, 1.0, TentRegion(0j), 48, INTEGRABILITY_CUTOFFS[0])
+        avg = tent_average(weight, 1.0, 48, INTEGRABILITY_CUTOFFS[0])
         integral, err = dblquad(
             lambda r, th: r / abs(0.5 - r * np.exp(1j * th)),
             0.0,
@@ -260,11 +256,10 @@ class TestWeightConstant:
         monkeypatch.setattr(estimates, "APEX_LEVELS", 3)
         monkeypatch.setattr(estimates, "APEX_ANGLES", 8)
         grid = default_apex_grid()
-        assert grid[0] == [0j]
-        assert [len(circle) for circle in grid] == [1, 8, 8, 8]
+        assert [len(circle) for circle in grid] == [8, 8, 8]
         assert all(type(a) is complex for circle in grid for a in circle)
         mods = [sorted({round(abs(a), 12) for a in circle}) for circle in grid]
-        assert mods == [[0.0], [0.5], [0.75], [0.875]]
+        assert mods == [[0.5], [0.75], [0.875]]
 
     def test_norm_bound_shape(self):
         assert bb_norm_bound(1.0, 2.0) == 1.0

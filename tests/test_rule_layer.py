@@ -6,10 +6,10 @@ Oracles (``oracles.py``):
 * the per-ring ``polar_rule_at``, which the block-wise rule must match
   bit for bit in nodes, weights and both ``aux`` arrays;
 * the apex loop of ``bekolle_bonami_estimate`` with two ``tent_average``
-  calls per tent, which the loop over apex circles, one rule per circle
-  and reusing the integrability check's whole-disc averages, must match
-  exactly, also with the rules of its table already held, on grids that
-  split a circle or hold the origin mid-way (and the same NonIntegrable
+  calls per tent, the origin first, which the estimate -- the
+  integrability check's whole-disc averages for the origin, then one
+  rule per apex circle -- must match exactly, also with the rules of its
+  table already held and on the origin alone (and the same NonIntegrable
   or OverflowInIntegrand message where the weight diverges).
 
 A circle's rule is its tent rules joined: each tent's slice equals the
@@ -279,28 +279,9 @@ class TestEstimateOracle:
         weight = WeightSpec.point_product(points, 2.0 - p)
         assert bekolle_bonami_estimate(weight, p) == oracles.bekolle_bonami_estimate(weight, p)
 
-    @pytest.mark.parametrize("points, p", [((0.5,), 3.0), ((0.3, 0.3 + 0.02j), 1.6)])
-    def test_equal_on_a_grid_without_origin(self, points, p, monkeypatch):
-        weight = WeightSpec.point_product(points, 2.0 - p)
-        grid = default_apex_grid()[1:]
-        assert [0j] not in grid
-        monkeypatch.setattr(estimates, "default_apex_grid", lambda: grid)
-        got = bekolle_bonami_estimate(weight, p)
-        assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=oracles.flat(grid))
-
-    @pytest.mark.parametrize("points, p", [((0.5,), 3.0), ((0.3, 0.3 + 0.02j), 1.6)])
-    def test_equal_with_origin_mid_grid(self, points, p, monkeypatch):
-        # the origin between the first two circles
-        weight = WeightSpec.point_product(points, 2.0 - p)
-        first, second = default_apex_grid()[1:3]
-        grid = [first, [0j], second]
-        monkeypatch.setattr(estimates, "default_apex_grid", lambda: grid)
-        got = bekolle_bonami_estimate(weight, p)
-        assert got == oracles.bekolle_bonami_estimate(weight, p, apex_grid=oracles.flat(grid))
-
     def test_equal_on_the_origin_alone(self, monkeypatch):
         weight = WeightSpec.point_product((0.5,), 2.0 - 3.0)
-        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [[0j]])
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [])
         got = bekolle_bonami_estimate(weight, 3.0)
         assert got == oracles.bekolle_bonami_estimate(weight, 3.0, apex_grid=[0j])
 
@@ -308,7 +289,7 @@ class TestEstimateOracle:
         # the weight's point is a node of the sixth tent of the first
         # circle, where |a - w|^-0.5 is infinite; the whole disc and the
         # tents before it are finite
-        apex = default_apex_grid()[1][5]
+        apex = default_apex_grid()[0][5]
         node = tent_rule(TentRegion(apex), TENT_ORDER).nodes[100]
         weight = WeightSpec.point_product((node,), -0.5)
         with np.errstate(divide="ignore"):
@@ -358,7 +339,7 @@ class TestEstimateOracle:
         weight = WeightSpec.point_product((0.5,), 2.0 - 3.9)
         got = bekolle_bonami_estimate(weight, 3.9)
         assert got == oracles.bekolle_bonami_estimate(weight, 3.9)
-        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [[0j]])
+        monkeypatch.setattr(estimates, "default_apex_grid", lambda: [])
         assert got == bekolle_bonami_estimate(weight, 3.9)
 
     def test_non_integrable_in_both(self):
@@ -394,15 +375,31 @@ class TestTableMemo:
         bekolle_bonami_estimate(WeightSpec.point_product((0.5,), -1.0), 3.0)
         rules = self.held_rules()
         families = {rule.descriptor["family"] for rule in rules}
-        assert families == {"polar", "tent_group"}
+        assert families == {"polar", "disc", "tent_group"}
         for rule in rules:
-            # polar aux also holds the complex centre, which is no array
-            aux = [a for a in (rule.aux or {}).values() if isinstance(a, np.ndarray)]
-            assert len(aux) == 2
-            for array in [rule.nodes, rule.weights, *aux]:
+            for array in [rule.nodes, rule.weights, *(rule.aux or {}).values()]:
+                assert isinstance(array, np.ndarray)
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0
+
+    def test_origin_averaged_on_the_whole_disc_only(self, monkeypatch):
+        # at a = 0.5, p = 3 the weight power is graded and the dual power
+        # is not: the memo holds the two graded polar rules, one disc rule
+        # per order for the dual power, and one tent group per apex circle,
+        # none of which holds the origin
+        monkeypatch.setattr(estimates, "_TABLE_RULES", {})
+        bekolle_bonami_estimate(WeightSpec.point_product((0.5,), 2.0 - 3.0), 3.0)
+        by_family = {}
+        for rule in self.held_rules():
+            by_family.setdefault(rule.descriptor["family"], []).append(rule)
+        assert sorted(by_family) == ["disc", "polar", "tent_group"]
+        assert len(by_family["polar"]) == 2
+        orders = sorted(rule.descriptor["radial_order"] for rule in by_family["disc"])
+        assert orders == [TENT_ORDER, 2 * TENT_ORDER]
+        groups = by_family["tent_group"]
+        assert len(groups) == APEX_LEVELS
+        assert not any(0j in rule.descriptor["apexes"] for rule in groups)
 
     def test_one_table_held_at_a_time(self):
         bekolle_bonami_estimate(WeightSpec.point_product(TABLES[0], -1.0), 3.0)
